@@ -44,10 +44,8 @@ from .oracle import (
 from .elimination import TreeEvaluator, check_weights
 from .fileio import ResultRow, emit_csv, emit_uai, parse_uai, read_uai_file
 from .optimize import (
-    AuxMarginals,
     OptimizerConfig,
     OptState,
-    aux_marginals,
     gauge_gradient,
     gauge_step,
     init_state,

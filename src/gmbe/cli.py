@@ -49,6 +49,7 @@ EXIT_VERIFY = 3
 
 _METHODS = ("be", "mbe", "wmbe", "wmbe-w", "wmbe-theta", "wmbe-wtheta",
             "wmbe-g", "wmbe-wg")
+_UPPER_ONLY = ("mbe", "wmbe-w", "wmbe-wtheta", "wmbe-wg")
 _FAMILIES = ("ising-grid", "forney-3reg", "forney-3reg-sym")
 
 
@@ -97,6 +98,15 @@ def _load_model(path):
     if sc_path.exists():
         sidecar = json.loads(sc_path.read_text())
     return g, sidecar
+
+
+def _lower_unsupported(method, lower):
+    """Report a lower bound asked of an upper-only method; True if so."""
+    if lower and method in _UPPER_ONLY:
+        print(f"error: method {method} supports only upper bounds",
+              file=sys.stderr)
+        return True
+    return False
 
 
 def _compute_bound(g, fg, method, ibound, iters, lower=False):
@@ -153,10 +163,7 @@ def cmd_gen(args):
 
 def cmd_bound(args):
     g, sidecar = _load_model(args.model_file)
-    if args.lower and args.method in ("mbe", "wmbe-w", "wmbe-wtheta",
-                                      "wmbe-wg"):
-        print(f"error: method {args.method} supports only upper bounds",
-              file=sys.stderr)
+    if _lower_unsupported(args.method, args.lower):
         return EXIT_USAGE
     fg = None if args.method == "be" else _forney_view(g, sidecar)
     res = _compute_bound(g, fg, args.method, args.ibound, args.iters,
@@ -189,6 +196,17 @@ def cmd_bound(args):
 
 
 def cmd_verify(args):
+    methods = []
+    for method in args.methods.split(","):
+        method = method.strip()
+        lower = method.endswith("-lower")
+        name = method[:-6] if lower else method
+        if name not in _METHODS:
+            print(f"error: unknown method {method!r}", file=sys.stderr)
+            return EXIT_USAGE
+        if _lower_unsupported(name, lower):
+            return EXIT_USAGE
+        methods.append((method, name, lower))
     g, sidecar = _load_model(args.model_file)
     exact = brute_z(g)
     if exact.sign <= 0:
@@ -197,13 +215,7 @@ def cmd_verify(args):
     print(f"brute-force log Z = {exact.logabs:.12f}")
     fg = _forney_view(g, sidecar)
     ok = True
-    for method in args.methods.split(","):
-        method = method.strip()
-        lower = method.endswith("-lower")
-        name = method[:-6] if lower else method
-        if name not in _METHODS:
-            print(f"error: unknown method {method!r}", file=sys.stderr)
-            return EXIT_USAGE
+    for method, name, lower in methods:
         res = _compute_bound(g, fg, name, args.ibound, args.iters,
                              lower=lower)
         gap = res.log_bound - exact.logabs

@@ -39,7 +39,7 @@ from .errors import (
     WidthExceeded,
     ZeroWeight,
 )
-from .factors import expand_to, signed_sum_axes, SignedLog
+from .factors import Factor, expand_to, signed_sum_axes, SignedLog
 
 BE_ENTRY_GUARD = 2 ** 24
 
@@ -179,8 +179,6 @@ def run_be(g, order, entry_guard=BE_ENTRY_GUARD):
             if const_sign == 0.0:
                 return SignedLog(0.0, -np.inf)
             continue
-        from .factors import Factor
-
         nf = Factor(tuple(rest), tuple(cards[u] for u in rest), out_sign, out_log)
         buckets[min(pos[u] for u in rest)].append(nf)
     return SignedLog(const_sign, const_log)
@@ -228,10 +226,6 @@ class MiniBucketTree:
         for b in self.buckets:
             reg.setdefault(b.var, []).append(b.index)
         return {v: tuple(ks) for v, ks in reg.items()}
-
-    @property
-    def num_split_vars(self):
-        return len(self.buckets)
 
     @property
     def roots(self):
@@ -574,8 +568,24 @@ class TreeEvaluator:
         perm = [srt.index(u) for u in fscope]
         return np.transpose(m, perm)
 
-    def bucket_of(self, fid):
-        return self.tree.factor_bucket[fid]
+    def weight_gradient(self, bucket_ids):
+        """Derivative of the log bound w.r.t. log w_k, per mini-bucket k.
+
+        Closed form (Liu & Ihler, ICML 2011): w_k times the conditional
+        entropy of the auxiliary conditional rho_k under the bucket's
+        joint q_k, that is w_k * sum q_k * (-log rho_k), where
+        w_k * log rho_k = psi_k - msg_k.  Entries with q_k = 0 are left
+        out, which takes 0 log 0 as 0.
+        """
+        memo = self.beliefs(bucket_ids)
+        grad = np.empty(len(bucket_ids))
+        for i, k in enumerate(bucket_ids):
+            q = memo[k]
+            mexp = np.expand_dims(self.msg[k], self._plan[k][2])
+            live = q > 0.0
+            neg_log = np.broadcast_to(mexp, q.shape)[live] - self.psi[k][live]
+            grad[i] = np.dot(q[live], neg_log)
+        return grad
 
 
 def run_wmbe(g, tree, weights=None):

@@ -109,26 +109,6 @@ class GaugeSet:
         a, b = self.graph.edge_pair(v)
         return self.matrices[(v, a)], self.matrices[(v, b)]
 
-    def to_text(self):
-        """Debug dump: one line per edge, row-major entries. Unstable."""
-        lines = []
-        for (v, fid) in sorted(self.matrices):
-            mat = self.matrices[(v, fid)]
-            entries = " ".join(repr(float(x)) for x in mat.ravel())
-            lines.append(f"{v} {fid} {mat.shape[0]} {entries}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, g, text):
-        mats = {}
-        for line in text.strip().splitlines():
-            parts = line.split()
-            v, fid, d = int(parts[0]), int(parts[1]), int(parts[2])
-            vals = np.array([float(x) for x in parts[3:]]).reshape(d, d)
-            mats[(v, fid)] = vals
-        free = {v: g.edge_pair(v)[0] for v in range(g.num_vars)}
-        return cls(g, mats, free)
-
 
 def check_constraint(gauges):
     """Deviation of each edge pair from the invariance constraint.

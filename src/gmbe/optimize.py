@@ -8,8 +8,9 @@ Three families of moves, all preserving the true partition function:
   and the two adjacent tables; the step candidate is I minus a multiple
   of it, and both factors absorb their matrices immediately so the
   working transform resets to the identity,
-* weight steps: finite-difference descent on the power-sum weights of
-  split variables, updated multiplicatively and renormalized,
+* weight steps: descent on the power-sum weights of split variables
+  along the closed-form gradient (the conditional entropies of the
+  auxiliary distribution), updated multiplicatively and renormalized,
 * reparameterization steps: the diagonal special case, driven by the
   mismatch of the two adjacent marginals of the auxiliary distribution.
 
@@ -24,14 +25,17 @@ decrease.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elimination import BoundResult, TreeEvaluator
 from .errors import SingularGaugeStep, ZeroFactorEntry
-from .factors import Factor
 from .gauges import gauge_transform_factor
+
+BACKTRACK_FACTOR = 0.5
+WEIGHT_FLOOR = 1e-3
+ZERO_ENTRY_LOG = -300.0
 
 _METHOD_FLAGS = {
     "wmbe": (False, False, False),
@@ -54,15 +58,10 @@ class OptimizerConfig:
     use_gauges: bool = False
     use_weights: bool = False
     use_reparam: bool = False
-    backtrack_factor: float = 0.5
     max_backtracks: int = 20
-    weight_floor: float = 1e-3
     cond_limit: float = 1e8
-    zero_entry_log: float = -300.0
-    fd_step: float = 1e-4
     stop_tol: float | None = None
     stop_window: int = 10
-    exact_q: bool = True
 
     @classmethod
     def for_method(cls, method, **overrides):
@@ -98,17 +97,11 @@ class OptState:
     evaluator: TreeEvaluator
     config: OptimizerConfig
     bound: float
-    graph_type: type
-    cards: tuple
-    shared_memo: dict | None = None
+    neighbors: tuple    # var -> adjacent factor ids; scopes never change
 
     @property
     def direction(self):
         return self.tree.direction
-
-    def current_graph(self):
-        """Working model as a graph; its true Z equals the original's."""
-        return self.graph_type(self.cards, tuple(self.factors))
 
     def _improved(self, new, old):
         return new <= old if self.direction == "upper" else new >= old
@@ -121,29 +114,12 @@ def init_state(g, tree, config=None):
     config = config or OptimizerConfig()
     ev = TreeEvaluator(tree, g.factors, mode="wsum")
     return OptState(tree, list(g.factors), ev, config, ev.bound(),
-                    type(g), g.cards)
-
-
-@dataclass(frozen=True)
-class AuxMarginals:
-    """Joint tables per mini-bucket and marginals per factor."""
-
-    bucket_joint: dict
-    factor_marginal: dict
-
-
-def aux_marginals(state):
-    """Auxiliary chain-rule distribution of the current working model."""
-    ev = state.evaluator
-    memo = ev.beliefs(range(len(state.tree.buckets)))
-    factor = {fid: ev.factor_marginal(fid, memo)
-              for fid in range(len(state.factors))}
-    return AuxMarginals(dict(memo), factor)
+                    g.var_neighbors)
 
 
 def _screen_zero_entries(state, fid):
     f = state.factors[fid]
-    low = f.logmag < state.config.zero_entry_log
+    low = f.logmag < ZERO_ENTRY_LOG
     if low.any():
         idx = tuple(int(i) for i in np.argwhere(low)[0])
         raise ZeroFactorEntry(fid, idx)
@@ -161,7 +137,7 @@ def _edge_term(q, f, axis):
     return np.einsum("ra,rab->ab", qm, ratio)
 
 
-def gauge_gradient(state, v, marginals=None):
+def gauge_gradient(state, v):
     """Derivative of the log bound w.r.t. the matrix on v's free edge.
 
     The free edge joins the lower-id adjacent factor; the higher-id
@@ -173,7 +149,7 @@ def gauge_gradient(state, v, marginals=None):
     _screen_zero_entries(state, a)
     _screen_zero_entries(state, b)
     fa, fb = state.factors[a], state.factors[b]
-    memo = {} if marginals is None else marginals
+    memo = {}
     qa = state.evaluator.factor_marginal(a, memo)
     qb = state.evaluator.factor_marginal(b, memo)
     ta = _edge_term(qa, fa, fa.axis_of(v))
@@ -182,13 +158,13 @@ def gauge_gradient(state, v, marginals=None):
 
 
 def _edge_pair(state, v):
-    nbrs = [fid for fid, f in enumerate(state.factors) if v in f.scope]
+    nbrs = state.neighbors[v]
     if len(nbrs) != 2:
         raise ValueError(f"variable {v} does not have exactly two factors")
     return nbrs[0], nbrs[1]
 
 
-def gauge_step(state, v, step=None, marginals=None):
+def gauge_step(state, v, step=None):
     """One accepted-descent transform step at variable v.
 
     The candidate matrix is I -/+ mu * gradient (sign per direction);
@@ -198,7 +174,7 @@ def gauge_step(state, v, step=None, marginals=None):
     surviving all halvings raises.
     """
     cfg = state.config
-    grad = gauge_gradient(state, v, marginals)
+    grad = gauge_gradient(state, v)
     a, b = _edge_pair(state, v)
     fa, fb = state.factors[a], state.factors[b]
     d = fa.cards[fa.axis_of(v)]
@@ -224,7 +200,7 @@ def gauge_step(state, v, step=None, marginals=None):
                 state.bound = new
                 return True
             ev.restore(token)
-        mu *= cfg.backtrack_factor
+        mu *= BACKTRACK_FACTOR
     if bad_cond:
         raise SingularGaugeStep(
             f"candidate at var {v} ill-conditioned after "
@@ -233,11 +209,11 @@ def gauge_step(state, v, step=None, marginals=None):
     return False
 
 
-def reparam_gradient(state, v, marginals=None):
+def reparam_gradient(state, v):
     """Marginal mismatch of v between its two adjacent factors."""
     a, b = _edge_pair(state, v)
     fa, fb = state.factors[a], state.factors[b]
-    memo = {} if marginals is None else marginals
+    memo = {}
     qa = state.evaluator.factor_marginal(a, memo)
     qb = state.evaluator.factor_marginal(b, memo)
     ma = np.moveaxis(qa, fa.axis_of(v), 0).reshape(qa.shape[fa.axis_of(v)], -1).sum(axis=1)
@@ -254,7 +230,7 @@ def _reparam_try(state, v, theta):
     return token, new, fa2, fb2
 
 
-def reparam_step(state, step=None, marginals=None):
+def reparam_step(state, step=None):
     """One accepted sweep of diagonal rescaling over all variables.
 
     Per variable, both adjacent factors absorb opposite log-scale
@@ -266,9 +242,8 @@ def reparam_step(state, step=None, marginals=None):
     mu0 = cfg.step_reparam if step is None else step
     any_accepted = False
     ev = state.evaluator
-    for v in _sweep_vars(state):
-        memo = {} if cfg.exact_q else state.shared_memo
-        grad = reparam_gradient(state, v, memo)
+    for v in state.tree.order:
+        grad = reparam_gradient(state, v)
         a, b = _edge_pair(state, v)
         mu = mu0 * state._descent_sign()
         old = state.bound
@@ -281,51 +256,32 @@ def reparam_step(state, step=None, marginals=None):
                 any_accepted = True
                 break
             ev.restore(token)
-            mu *= cfg.backtrack_factor
+            mu *= BACKTRACK_FACTOR
     return any_accepted
-
-
-def _sweep_vars(state):
-    seen = set()
-    out = []
-    for v in state.tree.order:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
 
 
 def weight_step(state, step=None):
     """One accepted sweep of power-sum weight updates (upper trees).
 
-    For each split variable the gradient of the log bound in the
-    log-weight domain is probed by central differences, each weight is
-    scaled by exp(-mu * w * grad), the pair is floored and renormalized
-    to sum 1, and the move is kept only if the bound did not increase.
-    Returns whether any variable's move was accepted.
+    For each split variable the closed-form gradient of the log bound
+    in the log-weight domain (``TreeEvaluator.weight_gradient``) scales
+    each weight by exp(-mu * w * grad), the pair is floored and
+    renormalized to sum 1, and the move is kept only if the bound did
+    not increase.  Returns whether any variable's move was accepted.
     """
     cfg = state.config
     if state.direction != "upper":
         raise ValueError("weight steps require an upper-direction tree")
     mu = cfg.step_weight if step is None else step
-    h = cfg.fd_step
     ev = state.evaluator
     any_accepted = False
     for v, ks in state.tree.splits.items():
         if len(ks) < 2:
             continue
         w = np.array([ev.weights[k] for k in ks])
-        grad = np.zeros_like(w)
-        for i, k in enumerate(ks):
-            up = ev.set_weights({k: w[i] * np.exp(h)})
-            f_plus = ev.bound()
-            ev.restore(up)
-            down = ev.set_weights({k: w[i] * np.exp(-h)})
-            f_minus = ev.bound()
-            ev.restore(down)
-            grad[i] = (f_plus - f_minus) / (2.0 * h)
+        grad = ev.weight_gradient(ks)
         cand = w * np.exp(-mu * w * grad)
-        cand = np.maximum(cand, cfg.weight_floor)
+        cand = np.maximum(cand, WEIGHT_FLOOR)
         cand = cand / cand.sum()
         old = state.bound
         token = ev.set_weights(dict(zip(ks, cand)))
@@ -350,14 +306,9 @@ def optimize_bound(g, tree, config):
     state = init_state(g, tree, config)
     trace = [state.bound]
     for _ in range(config.iterations):
-        if not config.exact_q:
-            state.shared_memo = state.evaluator.beliefs(
-                range(len(tree.buckets))
-            )
         if config.use_gauges:
-            for v in _sweep_vars(state):
-                memo = {} if config.exact_q else state.shared_memo
-                gauge_step(state, v, marginals=memo)
+            for v in tree.order:
+                gauge_step(state, v)
         if config.use_weights:
             weight_step(state)
         if config.use_reparam:

@@ -336,6 +336,7 @@ def test_criterion_06_symmetric_models_defeat_rescaling():
     assert improved >= 8
 
 
+@pytest.mark.slow
 def test_criterion_07_method_ordering_on_grids():
     """Optimized-bound quality ordering on ten 10x10 spin models."""
     t0 = time.perf_counter()

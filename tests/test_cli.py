@@ -212,6 +212,20 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "unknown method" in err
 
+    @pytest.mark.parametrize("method", ["mbe", "wmbe-w", "wmbe-wtheta",
+                                        "wmbe-wg"])
+    def test_lower_with_weight_methods_is_usage_error(self, method,
+                                                      tmp_path, capsys):
+        # rejected before any bound runs: no upper bound reported under
+        # a -lower name, no exception from the weight steps
+        path = gen_small_forney(tmp_path, capsys)
+        code, out, err = run_cli(
+            ["verify", str(path), "--ibound", "2", "--iters", "2",
+             "--methods", f"be,{method}-lower"], capsys)
+        assert code == EXIT_USAGE
+        assert "upper bounds" in err
+        assert "log bound" not in out
+
 
 class TestSweepSpec:
     def test_t_points_inclusive(self):

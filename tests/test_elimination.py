@@ -197,7 +197,7 @@ class TestTreeBuilder:
         order = default_order(g)
         tree = build_minibucket_tree(g, order, induced_width(g, order))
         assert all(len(ks) == 1 for ks in tree.splits.values())
-        assert tree.num_split_vars == g.num_vars
+        assert len(tree.buckets) == g.num_vars
 
     def test_split_structure_when_constrained(self):
         g = random_forney_graph(6, t=1.0, seed=1)

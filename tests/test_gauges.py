@@ -325,14 +325,3 @@ class TestReparam:
         assert brute_z(out).logabs == pytest.approx(
             brute_z(g).logabs, rel=1e-12
         )
-
-
-class TestSerialization:
-    def test_text_roundtrip(self):
-        g = cycle_model()
-        gs = random_valid_gauges(g, scale=0.3, seed=4)
-        text = gs.to_text()
-        back = GaugeSet.from_text(g, text)
-        assert set(back.matrices) == set(gs.matrices)
-        for key, mat in gs.matrices.items():
-            np.testing.assert_allclose(back.matrices[key], mat, rtol=1e-15)
