@@ -49,7 +49,7 @@ EXIT_VERIFY = 3
 
 _METHODS = ("be", "mbe", "wmbe", "wmbe-w", "wmbe-theta", "wmbe-wtheta",
             "wmbe-g", "wmbe-wg")
-_UPPER_ONLY = ("mbe", "wmbe-w", "wmbe-wtheta", "wmbe-wg")
+_NO_LOWER = ("be", "mbe", "wmbe-w", "wmbe-wtheta", "wmbe-wg")
 _FAMILIES = ("ising-grid", "forney-3reg", "forney-3reg-sym")
 
 
@@ -101,9 +101,10 @@ def _load_model(path):
 
 
 def _lower_unsupported(method, lower):
-    """Report a lower bound asked of an upper-only method; True if so."""
-    if lower and method in _UPPER_ONLY:
-        print(f"error: method {method} supports only upper bounds",
+    """Report a lower bound asked of a method without one; True if so."""
+    if lower and method in _NO_LOWER:
+        kind = "exact values" if method == "be" else "upper bounds"
+        print(f"error: method {method} supports only {kind}",
               file=sys.stderr)
         return True
     return False

@@ -54,13 +54,24 @@ class EliminationOrder(tuple):
         return super().__new__(cls, ids)
 
 
-def _lse_axis(a, axis):
-    """logsumexp over one axis, tolerating +-inf entries."""
-    m = np.max(a, axis=axis, keepdims=True)
+def _lse_axis(a, axis, w=1.0):
+    """Log power sum ``w * log sum exp(a / w)`` over one axis.
+
+    The one elimination kernel: at weight 1 it is a plain logsumexp and
+    skips the scaling.  A slice whose maximum is not finite (all -inf,
+    or +inf after a negative weight) goes to scipy's logsumexp, which
+    tolerates infinite entries.
+    """
+    if w != 1.0:
+        a = a / w
+    m = a.max(axis=axis, keepdims=True)
     if np.isfinite(m).all():
-        s = np.exp(a - m).sum(axis=axis)
-        return np.log(s) + np.squeeze(m, axis=axis)
-    return logsumexp(a, axis=axis)
+        s = np.add.reduce(np.exp(a - m), axis=axis)
+        out = np.log(s) + m.reshape(s.shape)
+    else:
+        with np.errstate(invalid="ignore"):
+            out = logsumexp(a, axis=axis)
+    return out if w == 1.0 else w * out
 
 
 def wsum(logmag, w, axis):
@@ -71,9 +82,7 @@ def wsum(logmag, w, axis):
     """
     if w == 0.0:
         raise ZeroWeight("power-sum weight must be nonzero")
-    logmag = np.asarray(logmag, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        return w * _lse_axis(logmag / w, axis)
+    return _lse_axis(np.asarray(logmag, dtype=np.float64), axis, w)
 
 
 def _primal_adjacency(g):
@@ -393,66 +402,69 @@ class TreeEvaluator:
         )
         if mode == "wsum":
             check_weights(tree, self.weights, tree.direction)
-        cards = tree.cards
-        self._aligned = [None] * len(factors)
-        self._orig_scope = [tuple(f.scope) for f in factors]
-        self._sorted_scope = [tuple(sorted(f.scope)) for f in factors]
-        for fid, f in enumerate(factors):
-            self._aligned[fid] = self._align_factor(f)
-        # static per-bucket plan
+        self._aligned = [self._align_factor(f) for f in factors]
+        # Static plan.  A bucket's scope is the union of its members'
+        # scopes, so their sum always spans it and no member needs a
+        # broadcast.  Per bucket: members as (is message, id, reshape),
+        # the elimination axis, the keep-dims shape of its message (also
+        # that of the parent marginal over the message scope), the parent
+        # axes summed out for that marginal, and whether mbe sums here.
+        buckets = tree.buckets
+        self._parent = tuple(b.parent for b in buckets)
         self._plan = []
-        for b in tree.buckets:
-            shape = tuple(cards[u] for u in b.scope)
-            members = []
-            for fid in b.factor_ids:
-                members.append(("f", fid, self._member_shape(
-                    self._sorted_scope[fid], b.scope, cards)))
-            for ch in b.children:
-                child_scope = tuple(
-                    u for u in tree.buckets[ch].scope
-                    if u != tree.buckets[ch].var
-                )
-                members.append(("m", ch, self._member_shape(
-                    child_scope, b.scope, cards)))
-            self._plan.append((members, shape, b.scope.index(b.var)))
-        self.psi = [None] * len(tree.buckets)
-        self.msg = [None] * len(tree.buckets)
+        for b in buckets:
+            members = [(0, fid, self._shape_in(factors[fid].scope, b))
+                       for fid in b.factor_ids]
+            members += [(1, ch, self._shape_in(self._rest(ch), b))
+                        for ch in b.children]
+            rest = self._rest(b.index)
+            pdrop = () if b.parent is None else tuple(
+                i for i, u in enumerate(buckets[b.parent].scope)
+                if u not in rest)
+            self._plan.append((members, b.scope.index(b.var),
+                               self._shape_in(rest, b), pdrop, b.copy == 0))
+        # per factor: bucket axes summed out, then the axis order of its
+        # own scope
+        self._fplan = []
+        for fid, f in enumerate(factors):
+            bscope = buckets[tree.factor_bucket[fid]].scope
+            srt = sorted(f.scope)
+            self._fplan.append((
+                tuple(i for i, u in enumerate(bscope) if u not in f.scope),
+                tuple(srt.index(u) for u in f.scope)))
+        self.psi = [None] * len(buckets)
+        self.msg = [None] * len(buckets)
         self._roots = tree.roots
-        for k in range(len(tree.buckets)):
+        for k in range(len(buckets)):
             self._recompute(k)
 
-    @staticmethod
-    def _member_shape(member_scope, bucket_scope, cards):
-        shape = [1] * len(bucket_scope)
-        for u in member_scope:
-            i = bucket_scope.index(u)
-            shape[i] = cards[u]
-        return tuple(shape)
+    def _rest(self, k):
+        b = self.tree.buckets[k]
+        return tuple(u for u in b.scope if u != b.var)
+
+    def _shape_in(self, scope, b):
+        """Shape of a table over ``scope`` laid out on bucket b's axes."""
+        return tuple(self.tree.cards[u] if u in scope else 1 for u in b.scope)
 
     def _align_factor(self, f):
         scope_sorted = tuple(sorted(f.scope))
         perm = [f.scope.index(u) for u in scope_sorted]
         return np.ascontiguousarray(np.transpose(f.logmag, perm))
 
-    def _elim(self, a, axis, k):
-        if self.mode == "mbe":
-            if self.tree.buckets[k].copy == 0:
-                return _lse_axis(a, axis)
-            return np.max(a, axis=axis)
-        w = self.weights[k]
-        with np.errstate(invalid="ignore"):
-            return w * _lse_axis(a / w, axis)
-
     def _recompute(self, k):
-        members, shape, axis = self._plan[k]
-        kind, idx, mshape = members[0]
-        src = self._aligned[idx] if kind == "f" else self.msg[idx]
-        psi = np.broadcast_to(src.reshape(mshape), shape)
-        for kind, idx, mshape in members[1:]:
-            src = self._aligned[idx] if kind == "f" else self.msg[idx]
-            psi = psi + src.reshape(mshape)
+        members, axis, _, _, sums = self._plan[k]
+        tables = (self._aligned, self.msg)
+        (src, i, shape), *more = members
+        psi = tables[src][i].reshape(shape)
+        for src, i, shape in more:
+            psi = psi + tables[src][i].reshape(shape)
         self.psi[k] = psi
-        self.msg[k] = self._elim(psi, axis, k)
+        if self.mode == "wsum":
+            self.msg[k] = _lse_axis(psi, axis, self.weights[k])
+        elif sums:
+            self.msg[k] = _lse_axis(psi, axis)
+        else:
+            self.msg[k] = psi.max(axis=axis)
 
     def bound(self):
         """Current log bound: the sum of all root constants."""
@@ -463,7 +475,7 @@ class TreeEvaluator:
         for k in touched:
             while k is not None and k not in path:
                 path.add(k)
-                k = self.tree.buckets[k].parent
+                k = self._parent[k]
         return sorted(path)
 
     def set_factors(self, updates):
@@ -519,35 +531,34 @@ class TreeEvaluator:
         if self.mode != "wsum":
             raise ValueError("auxiliary distribution needs power-sum mode")
         memo = {} if memo is None else memo
+        parent = self._parent
         need = []
         for k in bucket_ids:
             j = k
             while j is not None and j not in memo:
                 need.append(j)
-                j = self.tree.buckets[j].parent
+                j = parent[j]
         for k in sorted(set(need), reverse=True):
-            b = self.tree.buckets[k]
-            members, shape, axis = self._plan[k]
+            _, _, kshape, pdrop, _ = self._plan[k]
             msg = self.msg[k]
-            if b.parent is None and np.ndim(msg) == 0 and np.isneginf(msg):
+            p = parent[k]
+            if p is None and msg == -np.inf:
                 raise NumericalUnderflow(
                     f"zero normalizer at root mini-bucket {k}"
                 )
-            mexp = np.expand_dims(msg, axis)
-            with np.errstate(invalid="ignore"):
+            mexp = msg.reshape(kshape)
+            if mexp.min() == -np.inf:
+                with np.errstate(invalid="ignore"):
+                    rho = np.exp((self.psi[k] - mexp) / self.weights[k])
+                rho = np.where(mexp == -np.inf, 0.0, rho)
+            else:
                 rho = np.exp((self.psi[k] - mexp) / self.weights[k])
-            if np.isneginf(msg).any():
-                rho = np.where(np.isneginf(mexp), 0.0, rho)
-            if b.parent is None:
-                memo[k] = rho
-                continue
-            pb = memo[b.parent]
-            pscope = self.tree.buckets[b.parent].scope
-            rest = tuple(u for u in b.scope if u != b.var)
-            keep = set(rest)
-            drop = tuple(i for i, u in enumerate(pscope) if u not in keep)
-            pm = pb.sum(axis=drop) if drop else pb
-            memo[k] = rho * np.expand_dims(pm, axis)
+            if p is not None:
+                pm = memo[p]
+                if pdrop:
+                    pm = np.add.reduce(pm, axis=pdrop)
+                rho = rho * pm.reshape(kshape)
+            memo[k] = rho
         return memo
 
     def factor_marginal(self, fid, memo=None):
@@ -557,16 +568,11 @@ class TreeEvaluator:
         those of the mini-bucket that consumed the factor.
         """
         k = self.tree.factor_bucket[fid]
-        memo = self.beliefs((k,), memo)
-        b = memo[k]
-        bscope = self.tree.buckets[k].scope
-        fscope = self._orig_scope[fid]
-        keep = set(fscope)
-        drop = tuple(i for i, u in enumerate(bscope) if u not in keep)
-        m = b.sum(axis=drop) if drop else b
-        srt = self._sorted_scope[fid]
-        perm = [srt.index(u) for u in fscope]
-        return np.transpose(m, perm)
+        m = self.beliefs((k,), memo)[k]
+        drop, perm = self._fplan[fid]
+        if drop:
+            m = np.add.reduce(m, axis=drop)
+        return m.transpose(perm)
 
     def weight_gradient(self, bucket_ids):
         """Derivative of the log bound w.r.t. log w_k, per mini-bucket k.
@@ -581,7 +587,7 @@ class TreeEvaluator:
         grad = np.empty(len(bucket_ids))
         for i, k in enumerate(bucket_ids):
             q = memo[k]
-            mexp = np.expand_dims(self.msg[k], self._plan[k][2])
+            mexp = self.msg[k].reshape(self._plan[k][2])
             live = q > 0.0
             neg_log = np.broadcast_to(mexp, q.shape)[live] - self.psi[k][live]
             grad[i] = np.dot(q[live], neg_log)

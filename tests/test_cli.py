@@ -152,6 +152,14 @@ class TestBound:
         assert code == EXIT_USAGE
         assert "upper bounds" in err
 
+    def test_lower_with_exact_method_is_usage_error(self, tmp_path, capsys):
+        path = gen_small_forney(tmp_path, capsys)
+        code, out, err = run_cli(
+            ["bound", str(path), "--method", "be", "--lower"], capsys)
+        assert code == EXIT_USAGE
+        assert "exact values" in err
+        assert "log_bound" not in out
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["bound", str(tmp_path / "absent.uai")], capsys)
@@ -224,6 +232,16 @@ class TestVerify:
              "--methods", f"be,{method}-lower"], capsys)
         assert code == EXIT_USAGE
         assert "upper bounds" in err
+        assert "log bound" not in out
+
+    def test_lower_with_exact_method_is_usage_error(self, tmp_path, capsys):
+        # be is exact: a be-lower row would repeat it under a lower name
+        path = gen_small_forney(tmp_path, capsys)
+        code, out, err = run_cli(
+            ["verify", str(path), "--ibound", "2", "--methods",
+             "wmbe,be-lower"], capsys)
+        assert code == EXIT_USAGE
+        assert "exact values" in err
         assert "log bound" not in out
 
 

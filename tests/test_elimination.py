@@ -6,6 +6,7 @@ nested power sum over the dense split model for the bounded one.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from gmbe import (
     check_weights,
     default_order,
     gen_forney_3regular,
+    gen_ising_grid,
     induced_width,
+    ising_to_forney,
     random_valid_gauges,
     run_be,
     run_mbe,
@@ -32,7 +35,12 @@ from gmbe import (
     wsum,
 )
 from gmbe.elimination import EliminationOrder, lower_weights
-from gmbe.errors import IboundTooSmall, WidthExceeded, ZeroWeight
+from gmbe.errors import (
+    IboundTooSmall,
+    NumericalUnderflow,
+    WidthExceeded,
+    ZeroWeight,
+)
 from gmbe.oracle import brute_wmbe
 
 from conftest import (
@@ -466,6 +474,118 @@ class TestEvaluatorIncremental:
         token = ev.set_weights({ks[0]: 0.9, ks[1]: 0.1})
         ev.restore(token)
         assert ev.bound() == before
+
+    # (model, ibound): 3-regular; a grid in its degree-2 form; a
+    # to_forney model whose equality factors hold zeros, so some
+    # messages carry -inf slices in both directions
+    MODELS = {
+        "3regular": (lambda: gen_forney_3regular(8, t=1.0, seed=0), 2),
+        "grid6x6": (lambda: ising_to_forney(
+            gen_ising_grid(6, 6, t=1.0, seed=0)), 4),
+        "to_forney": (lambda: random_forney_from_pairwise(10, 20, 0), 7),
+    }
+
+    @staticmethod
+    def _random_edits(ev, factors, weights, seed, mode):
+        """Seeded set_factors/set_weights calls, about half restored.
+
+        Keeps ``factors`` and ``weights`` equal to what ``ev`` holds.
+        Zero entries stay zero: log-magnitudes are perturbed additively.
+        """
+        rng = np.random.default_rng(seed)
+        splits = [ks for ks in ev.tree.splits.values() if len(ks) > 1]
+        for _ in range(40):
+            keep = rng.random() < 0.5
+            if mode == "mbe" or rng.random() < 0.6:
+                fids = rng.choice(len(factors), size=int(rng.integers(1, 3)),
+                                  replace=False)
+                new = {}
+                for fid in fids.tolist():
+                    f = factors[fid]
+                    new[fid] = Factor(f.scope, f.cards, f.sign, f.logmag
+                                      + rng.normal(0.0, 0.3, f.cards))
+                token = ev.set_factors(new)
+                target, updates = factors, new
+            else:
+                ks = splits[int(rng.integers(len(splits)))]
+                if ev.tree.direction == "upper":
+                    ws = rng.dirichlet(np.ones(len(ks)))
+                else:
+                    ws = -rng.uniform(0.1, 1.0, len(ks))
+                    ws[0] = 1.0 - ws[1:].sum()
+                updates = dict(zip(ks, ws.tolist()))
+                token = ev.set_weights(updates)
+                target = weights
+            if keep:
+                for i, x in updates.items():
+                    target[i] = x
+            else:
+                ev.restore(token)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_random_edits_match_fresh_bitwise(self, model, direction):
+        make, ibound = self.MODELS[model]
+        g = make()
+        tree = build_minibucket_tree(g, default_order(g), ibound, direction)
+        ev = TreeEvaluator(tree, g.factors)
+        factors, weights = list(g.factors), list(tree.initial_weights)
+        self._random_edits(ev, factors, weights, seed=7, mode="wsum")
+        fresh = TreeEvaluator(tree, factors, weights=weights)
+        assert ev.bound() == fresh.bound()
+        assert np.isfinite(fresh.bound())
+        n = len(tree.buckets)
+        for k in range(n):
+            np.testing.assert_array_equal(ev.msg[k], fresh.msg[k])
+            # a bucket's members span its scope, so psi is never smaller
+            assert fresh.psi[k].shape == tuple(
+                tree.cards[u] for u in tree.buckets[k].scope)
+        got, want = ev.beliefs(range(n)), fresh.beliefs(range(n))
+        for k in range(n):
+            np.testing.assert_array_equal(got[k], want[k])
+        for fid in range(len(factors)):
+            np.testing.assert_array_equal(ev.factor_marginal(fid),
+                                          fresh.factor_marginal(fid))
+        np.testing.assert_array_equal(ev.weight_gradient(list(range(n))),
+                                      fresh.weight_gradient(list(range(n))))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_random_edits_match_fresh_mbe(self, model):
+        make, ibound = self.MODELS[model]
+        g = make()
+        tree = build_minibucket_tree(g, default_order(g), ibound)
+        ev = TreeEvaluator(tree, g.factors, mode="mbe")
+        factors = list(g.factors)
+        self._random_edits(ev, factors, None, seed=7, mode="mbe")
+        fresh = TreeEvaluator(tree, factors, mode="mbe")
+        assert ev.bound() == fresh.bound()
+        assert fresh.bound() == run_mbe(FactorGraph(g.cards, tuple(factors)),
+                                        tree).log_bound
+        for k in range(len(tree.buckets)):
+            np.testing.assert_array_equal(ev.msg[k], fresh.msg[k])
+
+    def test_dead_root_raises_and_dead_slices_stay_quiet(self):
+        g = random_forney_from_pairwise(10, 20, 0)
+        order = default_order(g)
+        lower = TreeEvaluator(build_minibucket_tree(g, order, 6, "lower"),
+                              g.factors)
+        assert lower.bound() == -np.inf
+        with pytest.raises(NumericalUnderflow):
+            lower.beliefs(lower.tree.roots)
+        tree = build_minibucket_tree(g, order, 6)
+        ev = TreeEvaluator(tree, g.factors)
+        # the upper tree has slices whose normalizer is -inf, which take
+        # the masked path, and must do so without a numpy warning
+        assert any(-np.inf in np.atleast_1d(m) for m in ev.msg)
+        n = len(tree.buckets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            memo = ev.beliefs(range(n))
+            grad = ev.weight_gradient(list(range(n)))
+        assert all(np.isfinite(memo[k]).all() for k in range(n))
+        assert np.isfinite(grad).all()
 
     def test_zero_weight_rejected(self):
         _, tree, ev = self._setup()
