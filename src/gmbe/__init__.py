@@ -35,7 +35,6 @@ from .elimination import (
     wsum,
 )
 from .oracle import (
-    OracleBudget,
     brute_aux_marginals,
     brute_wmbe,
     brute_z,

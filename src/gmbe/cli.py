@@ -30,7 +30,7 @@ from .elimination import (
     run_mbe,
     run_wmbe,
 )
-from .errors import GmbeError
+from .errors import GmbeError, NotAGrid
 from .fileio import ResultRow, emit_csv, emit_uai, read_uai_file
 from .generators import (
     gen_forney_3regular,
@@ -39,7 +39,7 @@ from .generators import (
     ising_to_forney,
 )
 from .graphs import to_forney
-from .optimize import OptimizerConfig, optimize_bound
+from .optimize import METHODS, OptimizerConfig, optimize_bound
 from .oracle import brute_z
 
 EXIT_OK = 0
@@ -47,9 +47,10 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
-_METHODS = ("be", "mbe", "wmbe", "wmbe-w", "wmbe-theta", "wmbe-wtheta",
-            "wmbe-g", "wmbe-wg")
-_NO_LOWER = ("be", "mbe", "wmbe-w", "wmbe-wtheta", "wmbe-wg")
+_METHODS = ("be", "mbe", *METHODS)
+# be is exact; mbe and weight steps exist only for upper trees
+_NO_LOWER = ("be", "mbe", *(m for m, moves in METHODS.items()
+                            if "weights" in moves))
 _FAMILIES = ("ising-grid", "forney-3reg", "forney-3reg-sym")
 
 
@@ -83,21 +84,16 @@ def _generate(family, args, t, seed):
     raise ValueError(f"unknown model family {family!r}")
 
 
-def _forney_view(g, sidecar):
-    """Degree-2 form of a parsed model, honoring its generator family."""
-    if sidecar and sidecar.get("model") == "ising-grid":
+def _forney_view(g):
+    """Degree-2 form of a model: grid plaquettes if it is a spin grid.
+
+    ``ising_to_forney`` keeps every table free of zeros and small
+    enough for low ibounds; any other model goes through ``to_forney``.
+    """
+    try:
         return ising_to_forney(g)
-    fg, _ = to_forney(g)
-    return fg
-
-
-def _load_model(path):
-    g = read_uai_file(path)
-    sidecar = None
-    sc_path = Path(str(path) + ".json")
-    if sc_path.exists():
-        sidecar = json.loads(sc_path.read_text())
-    return g, sidecar
+    except NotAGrid:
+        return to_forney(g)[0]
 
 
 def _lower_unsupported(method, lower):
@@ -162,11 +158,16 @@ def cmd_gen(args):
 # bound
 
 
+def _json_float(x):
+    """x for strict JSON: a non-finite bound is written as null."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_bound(args):
-    g, sidecar = _load_model(args.model_file)
+    g = read_uai_file(args.model_file)
     if _lower_unsupported(args.method, args.lower):
         return EXIT_USAGE
-    fg = None if args.method == "be" else _forney_view(g, sidecar)
+    fg = None if args.method == "be" else _forney_view(g)
     res = _compute_bound(g, fg, args.method, args.ibound, args.iters,
                          lower=args.lower)
     payload = {
@@ -174,13 +175,13 @@ def cmd_bound(args):
         "method": res.method,
         "direction": res.direction,
         "ibound": None if args.method == "be" else args.ibound,
-        "log_bound": res.log_bound,
+        "log_bound": _json_float(res.log_bound),
         "iterations": res.iterations,
         "wall_time": res.wall_time,
     }
     if args.trace:
-        payload["trace"] = list(res.trace)
-    print(json.dumps(payload, indent=2))
+        payload["trace"] = [_json_float(b) for b in res.trace]
+    print(json.dumps(payload, indent=2, allow_nan=False))
     if args.trace_csv:
         import csv as _csv
 
@@ -208,13 +209,13 @@ def cmd_verify(args):
         if _lower_unsupported(name, lower):
             return EXIT_USAGE
         methods.append((method, name, lower))
-    g, sidecar = _load_model(args.model_file)
+    g = read_uai_file(args.model_file)
     exact = brute_z(g)
     if exact.sign <= 0:
         print("error: model has nonpositive Z", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"brute-force log Z = {exact.logabs:.12f}")
-    fg = _forney_view(g, sidecar)
+    fg = _forney_view(g)
     ok = True
     for method, name, lower in methods:
         res = _compute_bound(g, fg, name, args.ibound, args.iters,
@@ -275,7 +276,7 @@ def _sweep_task(spec, t, seed):
     rows = []
     try:
         g = _generate(spec.model, spec, t, seed)
-        fg = _forney_view(g, {"model": spec.model})
+        fg = _forney_view(g)
         ref = None
         try:
             z = run_be(fg, default_order(fg))
@@ -449,10 +450,6 @@ def main(argv=None):
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-def entry():
-    sys.exit(main())
 
 
 if __name__ == "__main__":

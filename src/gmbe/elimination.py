@@ -240,19 +240,6 @@ class MiniBucketTree:
     def roots(self):
         return tuple(b.index for b in self.buckets if b.parent is None)
 
-    def with_direction_weights(self, weights):
-        weights = tuple(float(w) for w in weights)
-        if len(weights) != len(self.buckets):
-            raise ValueError("one weight per mini-bucket required")
-        buckets = tuple(
-            MiniBucket(b.index, b.var, b.copy, b.scope, b.factor_ids,
-                       b.children, b.parent, weights[b.index])
-            for b in self.buckets
-        )
-        return MiniBucketTree(self.cards, self.order, self.ibound,
-                              self.direction, buckets, self.factor_bucket,
-                              self.factor_incidence, weights)
-
 
 def lower_weights(r):
     """Reverse-pattern start: one weight above 1, the rest at -1/2."""
@@ -387,6 +374,8 @@ class TreeEvaluator:
     over their sorted scopes, which makes every alignment a cheap
     reshape of a contiguous array.
 
+    It owns the working model: ``factors`` is the current ``Factor``
+    list, which ``set_factors`` updates and ``restore`` reverts.
     ``set_factors``/``set_weights`` recompute just the path from the
     touched mini-buckets to their roots and return an undo token, which
     is what makes accept/reject optimization steps cheap.
@@ -402,6 +391,7 @@ class TreeEvaluator:
         )
         if mode == "wsum":
             check_weights(tree, self.weights, tree.direction)
+        self.factors = list(factors)
         self._aligned = [self._align_factor(f) for f in factors]
         # Static plan.  A bucket's scope is the union of its members'
         # scopes, so their sum always spans it and no member needs a
@@ -483,7 +473,8 @@ class TreeEvaluator:
         touched = set()
         undo_f = {}
         for fid, f in updates.items():
-            undo_f[fid] = self._aligned[fid]
+            undo_f[fid] = (self.factors[fid], self._aligned[fid])
+            self.factors[fid] = f
             self._aligned[fid] = self._align_factor(f)
             touched.add(self.tree.factor_bucket[fid])
         path = self._path_from(touched)
@@ -508,7 +499,8 @@ class TreeEvaluator:
     def restore(self, token):
         kind, undo_x, undo_b = token
         if kind == "f":
-            for fid, arr in undo_x.items():
+            for fid, (f, arr) in undo_x.items():
+                self.factors[fid] = f
                 self._aligned[fid] = arr
         else:
             for k, w in undo_x.items():

@@ -66,22 +66,9 @@ class FactorGraph:
     def degree(self, v):
         return len(self.var_neighbors[v])
 
-    def replace_factors(self, updates):
-        """New graph with factors substituted by id (scopes unchanged)."""
-        factors = list(self.factors)
-        for i, f in updates.items():
-            if tuple(f.scope) != tuple(factors[i].scope):
-                raise ValueError(f"replacement for factor {i} changes scope")
-            factors[i] = f
-        return type(self)(self.cards, tuple(factors))
-
 
 class ForneyGraph(FactorGraph):
     """A factor graph certified to have every variable of degree 2."""
-
-    @property
-    def certified_forney(self):
-        return True
 
     def edge_pair(self, v):
         """The (lower id, higher id) factor pair adjacent to variable v."""

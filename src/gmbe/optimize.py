@@ -14,10 +14,11 @@ Three families of moves, all preserving the true partition function:
 * reparameterization steps: the diagonal special case, driven by the
   mismatch of the two adjacent marginals of the auxiliary distribution.
 
-Every candidate is evaluated and kept only if the bound did not get
-worse (backtracking halves the step a bounded number of times first),
-so emitted traces are monotone by construction, whatever the gradient
-quality.  For lower-direction trees the same moves run with the signs
+All three run through one accept loop: a candidate is evaluated and
+kept only if the bound did not get worse, else it is restored and the
+step halved for another try (a bounded number of times; weight moves
+get a single try), so emitted traces are monotone by construction,
+whatever the gradient quality.  For lower-direction trees the same moves run with the signs
 flipped: candidates ascend and are kept only if the bound did not
 decrease.
 """
@@ -33,59 +34,43 @@ from .elimination import BoundResult, TreeEvaluator
 from .errors import SingularGaugeStep, ZeroFactorEntry
 from .gauges import gauge_transform_factor
 
+STEP_GAUGE = 0.01
+STEP_WEIGHT = 0.1
+STEP_REPARAM = 0.1
 BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 20
+COND_LIMIT = 1e8
 WEIGHT_FLOOR = 1e-3
 ZERO_ENTRY_LOG = -300.0
 
-_METHOD_FLAGS = {
-    "wmbe": (False, False, False),
-    "wmbe-w": (False, True, False),
-    "wmbe-theta": (False, False, True),
-    "wmbe-wtheta": (False, True, True),
-    "wmbe-g": (True, False, False),
-    "wmbe-wg": (True, True, False),
+# The optimizer methods: each names the move families its descent
+# sweeps, in the order optimize_bound runs them.
+METHODS = {
+    "wmbe": (),
+    "wmbe-w": ("weights",),
+    "wmbe-theta": ("reparam",),
+    "wmbe-wtheta": ("weights", "reparam"),
+    "wmbe-g": ("gauges",),
+    "wmbe-wg": ("gauges", "weights"),
 }
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Step sizes, budgets and acceptance knobs for optimize_bound."""
+    """Method, iteration budget and early stop for optimize_bound."""
 
-    step_gauge: float = 0.01
-    step_weight: float = 0.1
-    step_reparam: float = 0.1
+    method: str
     iterations: int = 150
-    use_gauges: bool = False
-    use_weights: bool = False
-    use_reparam: bool = False
-    max_backtracks: int = 20
-    cond_limit: float = 1e8
     stop_tol: float | None = None
     stop_window: int = 10
 
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+
     @classmethod
     def for_method(cls, method, **overrides):
-        try:
-            g, w, theta = _METHOD_FLAGS[method]
-        except KeyError:
-            raise ValueError(f"unknown method {method!r}") from None
-        return cls(use_gauges=g, use_weights=w, use_reparam=theta,
-                   **overrides)
-
-    @property
-    def method_name(self):
-        for name, flags in _METHOD_FLAGS.items():
-            if flags == (self.use_gauges, self.use_weights,
-                         self.use_reparam):
-                return name
-        parts = ["wmbe"]
-        if self.use_gauges:
-            parts.append("g")
-        if self.use_weights:
-            parts.append("w")
-        if self.use_reparam:
-            parts.append("theta")
-        return "-".join(parts)
+        return cls(method, **overrides)
 
 
 @dataclass
@@ -93,11 +78,14 @@ class OptState:
     """Mutable optimization state over a fixed tree structure."""
 
     tree: object
-    factors: list
     evaluator: TreeEvaluator
-    config: OptimizerConfig
     bound: float
     neighbors: tuple    # var -> adjacent factor ids; scopes never change
+
+    @property
+    def factors(self):
+        """The working model's factors, as held by the evaluator."""
+        return tuple(self.evaluator.factors)
 
     @property
     def direction(self):
@@ -110,15 +98,35 @@ class OptState:
         return 1.0 if self.direction == "upper" else -1.0
 
 
-def init_state(g, tree, config=None):
-    config = config or OptimizerConfig()
+def init_state(g, tree):
     ev = TreeEvaluator(tree, g.factors, mode="wsum")
-    return OptState(tree, list(g.factors), ev, config, ev.bound(),
-                    g.var_neighbors)
+    return OptState(tree, ev, ev.bound(), g.var_neighbors)
+
+
+def _accept(state, apply, mu, tries):
+    """Keep the first candidate, halving mu, whose bound is no worse.
+
+    ``apply(mu)`` sets the candidate for step mu on the evaluator and
+    returns its undo token, or None if it declined to build one.  A
+    worse candidate is restored before the next, halved, try.  Returns
+    whether a candidate was kept.
+    """
+    ev = state.evaluator
+    old = state.bound
+    for _ in range(tries):
+        token = apply(mu)
+        if token is not None:
+            new = ev.bound()
+            if state._improved(new, old):
+                state.bound = new
+                return True
+            ev.restore(token)
+        mu *= BACKTRACK_FACTOR
+    return False
 
 
 def _screen_zero_entries(state, fid):
-    f = state.factors[fid]
+    f = state.evaluator.factors[fid]
     low = f.logmag < ZERO_ENTRY_LOG
     if low.any():
         idx = tuple(int(i) for i in np.argwhere(low)[0])
@@ -148,7 +156,7 @@ def gauge_gradient(state, v):
     a, b = _edge_pair(state, v)
     _screen_zero_entries(state, a)
     _screen_zero_entries(state, b)
-    fa, fb = state.factors[a], state.factors[b]
+    fa, fb = state.evaluator.factors[a], state.evaluator.factors[b]
     memo = {}
     qa = state.evaluator.factor_marginal(a, memo)
     qb = state.evaluator.factor_marginal(b, memo)
@@ -164,7 +172,7 @@ def _edge_pair(state, v):
     return nbrs[0], nbrs[1]
 
 
-def gauge_step(state, v, step=None):
+def gauge_step(state, v):
     """One accepted-descent transform step at variable v.
 
     The candidate matrix is I -/+ mu * gradient (sign per direction);
@@ -173,38 +181,31 @@ def gauge_step(state, v, step=None):
     worse.  Backtracking halves mu; an ill-conditioned candidate
     surviving all halvings raises.
     """
-    cfg = state.config
     grad = gauge_gradient(state, v)
     a, b = _edge_pair(state, v)
-    fa, fb = state.factors[a], state.factors[b]
-    d = fa.cards[fa.axis_of(v)]
-    eye = np.eye(d)
-    mu = cfg.step_gauge if step is None else step
-    mu *= state._descent_sign()
-    old = state.bound
     ev = state.evaluator
+    fa, fb = ev.factors[a], ev.factors[b]
+    eye = np.eye(fa.cards[fa.axis_of(v)])
     bad_cond = False
-    for _ in range(cfg.max_backtracks + 1):
+
+    def apply(mu):
+        nonlocal bad_cond
         cand = eye - mu * grad
         cond = np.linalg.cond(cand)
-        bad_cond = not np.isfinite(cond) or cond > cfg.cond_limit
-        if not bad_cond:
-            partner = np.linalg.inv(cand.T)
-            fa2 = gauge_transform_factor(fa, {v: cand})
-            fb2 = gauge_transform_factor(fb, {v: partner})
-            token = ev.set_factors({a: fa2, b: fb2})
-            new = ev.bound()
-            if state._improved(new, old):
-                state.factors[a] = fa2
-                state.factors[b] = fb2
-                state.bound = new
-                return True
-            ev.restore(token)
-        mu *= BACKTRACK_FACTOR
+        bad_cond = not np.isfinite(cond) or cond > COND_LIMIT
+        if bad_cond:
+            return None
+        partner = np.linalg.inv(cand.T)
+        return ev.set_factors({a: gauge_transform_factor(fa, {v: cand}),
+                               b: gauge_transform_factor(fb, {v: partner})})
+
+    if _accept(state, apply, STEP_GAUGE * state._descent_sign(),
+               MAX_BACKTRACKS + 1):
+        return True
     if bad_cond:
         raise SingularGaugeStep(
             f"candidate at var {v} ill-conditioned after "
-            f"{cfg.max_backtracks} halvings"
+            f"{MAX_BACKTRACKS} halvings"
         )
     return False
 
@@ -212,7 +213,7 @@ def gauge_step(state, v, step=None):
 def reparam_gradient(state, v):
     """Marginal mismatch of v between its two adjacent factors."""
     a, b = _edge_pair(state, v)
-    fa, fb = state.factors[a], state.factors[b]
+    fa, fb = state.evaluator.factors[a], state.evaluator.factors[b]
     memo = {}
     qa = state.evaluator.factor_marginal(a, memo)
     qb = state.evaluator.factor_marginal(b, memo)
@@ -221,16 +222,7 @@ def reparam_gradient(state, v):
     return ma - mb
 
 
-def _reparam_try(state, v, theta):
-    a, b = _edge_pair(state, v)
-    fa2 = state.factors[a].scale_axis_log(v, theta)
-    fb2 = state.factors[b].scale_axis_log(v, -theta)
-    token = state.evaluator.set_factors({a: fa2, b: fb2})
-    new = state.evaluator.bound()
-    return token, new, fa2, fb2
-
-
-def reparam_step(state, step=None):
+def reparam_step(state):
     """One accepted sweep of diagonal rescaling over all variables.
 
     Per variable, both adjacent factors absorb opposite log-scale
@@ -238,41 +230,36 @@ def reparam_step(state, step=None):
     with halving as for transform steps.  Returns whether any variable's
     move was accepted.
     """
-    cfg = state.config
-    mu0 = cfg.step_reparam if step is None else step
-    any_accepted = False
     ev = state.evaluator
+    any_accepted = False
     for v in state.tree.order:
         grad = reparam_gradient(state, v)
         a, b = _edge_pair(state, v)
-        mu = mu0 * state._descent_sign()
-        old = state.bound
-        for _ in range(cfg.max_backtracks + 1):
-            token, new, fa2, fb2 = _reparam_try(state, v, -mu * grad)
-            if state._improved(new, old):
-                state.factors[a] = fa2
-                state.factors[b] = fb2
-                state.bound = new
-                any_accepted = True
-                break
-            ev.restore(token)
-            mu *= BACKTRACK_FACTOR
+        fa, fb = ev.factors[a], ev.factors[b]
+
+        def apply(mu):
+            theta = -mu * grad
+            return ev.set_factors({a: fa.scale_axis_log(v, theta),
+                                   b: fb.scale_axis_log(v, -theta)})
+
+        any_accepted |= _accept(state, apply,
+                                STEP_REPARAM * state._descent_sign(),
+                                MAX_BACKTRACKS + 1)
     return any_accepted
 
 
-def weight_step(state, step=None):
+def weight_step(state):
     """One accepted sweep of power-sum weight updates (upper trees).
 
     For each split variable the closed-form gradient of the log bound
     in the log-weight domain (``TreeEvaluator.weight_gradient``) scales
     each weight by exp(-mu * w * grad), the pair is floored and
     renormalized to sum 1, and the move is kept only if the bound did
-    not increase.  Returns whether any variable's move was accepted.
+    not increase; there is no backtracking.  Returns whether any
+    variable's move was accepted.
     """
-    cfg = state.config
     if state.direction != "upper":
         raise ValueError("weight steps require an upper-direction tree")
-    mu = cfg.step_weight if step is None else step
     ev = state.evaluator
     any_accepted = False
     for v, ks in state.tree.splits.items():
@@ -280,44 +267,43 @@ def weight_step(state, step=None):
             continue
         w = np.array([ev.weights[k] for k in ks])
         grad = ev.weight_gradient(ks)
-        cand = w * np.exp(-mu * w * grad)
-        cand = np.maximum(cand, WEIGHT_FLOOR)
-        cand = cand / cand.sum()
-        old = state.bound
-        token = ev.set_weights(dict(zip(ks, cand)))
-        new = ev.bound()
-        if state._improved(new, old):
-            state.bound = new
-            any_accepted = True
-        else:
-            ev.restore(token)
+
+        def apply(mu):
+            cand = w * np.exp(-mu * w * grad)
+            cand = np.maximum(cand, WEIGHT_FLOOR)
+            cand = cand / cand.sum()
+            return ev.set_weights(dict(zip(ks, cand)))
+
+        any_accepted |= _accept(state, apply, STEP_WEIGHT, 1)
     return any_accepted
 
 
 def optimize_bound(g, tree, config):
     """Run the configured sweeps and return (result, final state).
 
-    Each iteration sweeps transform steps over all variables (if
-    enabled), then weight steps, then reparameterization steps.  The
+    Each iteration runs the moves ``METHODS`` names for the method:
+    transform steps over all variables, then weight steps, then
+    reparameterization steps.  The
     trace holds the bound after every iteration and is monotone for the
     tree's direction because every move is accept-only.
     """
     t0 = time.perf_counter()
-    state = init_state(g, tree, config)
+    moves = METHODS[config.method]
+    state = init_state(g, tree)
     trace = [state.bound]
     for _ in range(config.iterations):
-        if config.use_gauges:
+        if "gauges" in moves:
             for v in tree.order:
                 gauge_step(state, v)
-        if config.use_weights:
+        if "weights" in moves:
             weight_step(state)
-        if config.use_reparam:
+        if "reparam" in moves:
             reparam_step(state)
         trace.append(state.bound)
         if config.stop_tol is not None and len(trace) > config.stop_window:
             span = abs(trace[-1 - config.stop_window] - trace[-1])
             if span <= config.stop_tol * max(1.0, abs(trace[-1])):
                 break
-    result = BoundResult(config.method_name, tree.direction, state.bound,
+    result = BoundResult(config.method, tree.direction, state.bound,
                          tuple(trace), time.perf_counter() - t0)
     return result, state

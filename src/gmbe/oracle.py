@@ -12,34 +12,26 @@ them as possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded, NonFiniteEvaluation, ZeroWeight
 from .factors import SignedLog, product_over
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Cap on how many joint states enumeration may visit."""
-
-    max_states: int = 2 ** 20
+MAX_STATES = 2 ** 20    # default cap on the joint states enumeration visits
 
 
 def _states_or_raise(cards, budget):
-    budget = budget if budget is not None else OracleBudget()
-    if isinstance(budget, int):
-        budget = OracleBudget(budget)
+    """Joint state count of ``cards``; raise above ``budget`` states."""
     states = 1
     for c in cards:
         states *= int(c)
-    if states > budget.max_states:
-        raise BudgetExceeded(states, budget.max_states)
+    if states > budget:
+        raise BudgetExceeded(states, budget)
     return states
 
 
-def brute_z(g, budget=None):
+def brute_z(g, budget=MAX_STATES):
     """Exact partition function by enumeration, as (sign, log|Z|).
 
     The mantissa sum runs through math.fsum, so cancellation between
@@ -87,7 +79,7 @@ def _wsum_keepdims(logmag, w, axis):
         return w * s
 
 
-def brute_wmbe(g, tree, weights=None, budget=None):
+def brute_wmbe(g, tree, weights=None, budget=MAX_STATES):
     """Literal nested power-sum over the split model; returns log bound."""
     weights = tree.initial_weights if weights is None else weights
     table, split_cards = _split_model_logmag(g, tree)
@@ -97,7 +89,7 @@ def brute_wmbe(g, tree, weights=None, budget=None):
     return float(table.reshape(()))
 
 
-def brute_aux_marginals(g, tree, weights=None, budget=None):
+def brute_aux_marginals(g, tree, weights=None, budget=MAX_STATES):
     """Chain-rule auxiliary distribution, marginalized per factor.
 
     Builds the dense joint q over all split variables by multiplying the

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from gmbe import brute_z, parse_uai
+from gmbe import FactorGraph, brute_z, emit_uai, gen_ising_grid, parse_uai
 from gmbe.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -140,6 +140,41 @@ class TestBound:
              "--iters", "5", "--lower"], capsys)
         assert payload["direction"] == "lower"
         assert payload["log_bound"] <= exact + 1e-9
+
+    def test_grid_without_sidecar_bounds_as_with_it(self, tmp_path,
+                                                    capsys):
+        # the grid is recognised from the model itself, so wmbe-g runs on
+        # the zero-free plaquette form whether or not the sidecar exists
+        path = tmp_path / "g.uai"
+        code, _, _ = run_cli(
+            ["gen", "--model", "ising-grid", "--rows", "6", "--cols", "6",
+             "--seed", "0", "-o", str(path)], capsys)
+        assert code == EXIT_OK
+        argv = ["bound", str(path), "--method", "wmbe-g", "--ibound", "4",
+                "--iters", "5"]
+        with_sidecar = bound_json(argv, capsys)["log_bound"]
+        (tmp_path / "g.uai.json").unlink()
+        assert bound_json(argv, capsys)["log_bound"] == with_sidecar
+
+    def test_non_finite_bound_is_strict_json_null(self, tmp_path, capsys):
+        # without singletons the model is no grid and goes through
+        # to_forney, whose zero-entry equality factors drive the one-pass
+        # lower bound to -inf
+        g = gen_ising_grid(4, 4, t=1.0, seed=0)
+        path = tmp_path / "m.uai"
+        path.write_text(emit_uai(FactorGraph(
+            g.cards, tuple(f for f in g.factors if f.arity == 2))))
+        code, out, _ = run_cli(
+            ["bound", str(path), "--method", "wmbe", "--lower",
+             "--ibound", "4", "--trace"], capsys)
+        assert code == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["log_bound"] is None
+        assert payload["trace"] == [None]
 
     @pytest.mark.parametrize("method", ["mbe", "wmbe-w", "wmbe-wtheta",
                                         "wmbe-wg"])

@@ -45,15 +45,6 @@ class TestFactorGraph:
         with pytest.raises(ValueError):
             FactorGraph((2,), (f,))
 
-    def test_replace_factors_keeps_scope(self):
-        g = chain(3)
-        new = Factor.uniform((0, 1), (2, 2))
-        g2 = g.replace_factors({0: new})
-        assert g2.factors[0] is new
-        assert g2.factors[1] is g.factors[1]
-        with pytest.raises(ValueError):
-            g.replace_factors({0: Factor.uniform((1, 2), (2, 2))})
-
 
 class TestValidateForney:
     def test_valid_cycle(self):

@@ -22,6 +22,7 @@ from gmbe import (
     run_be,
     run_wmbe,
 )
+from gmbe import optimize
 from gmbe.errors import SingularGaugeStep, ZeroFactorEntry
 from gmbe.optimize import (
     OptimizerConfig,
@@ -68,21 +69,27 @@ class TestConfig:
             "wmbe-g": (True, False, False),
             "wmbe-wg": (True, True, False),
         }
+        assert tuple(optimize.METHODS) == tuple(want)
+        g = fixture_model(6, seed=1)
+        tree = fixture_tree(g)
         for method, (ug, uw, ut) in want.items():
-            cfg = OptimizerConfig.for_method(method)
-            assert (cfg.use_gauges, cfg.use_weights,
-                    cfg.use_reparam) == (ug, uw, ut)
-            assert cfg.method_name == method
+            moves = optimize.METHODS[method]
+            assert ("gauges" in moves, "weights" in moves,
+                    "reparam" in moves) == (ug, uw, ut)
+            cfg = OptimizerConfig.for_method(method, iterations=1)
+            assert cfg.method == method
+            assert optimize_bound(g, tree, cfg)[0].method == method
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             OptimizerConfig.for_method("wmbe-x")
 
     def test_overrides(self):
-        cfg = OptimizerConfig.for_method("wmbe-g", iterations=7,
-                                         step_gauge=0.5)
+        cfg = OptimizerConfig.for_method("wmbe-g", iterations=7)
         assert cfg.iterations == 7
-        assert cfg.step_gauge == 0.5
+        assert OptimizerConfig("wmbe-g").iterations == 150
+        with pytest.raises(ValueError):
+            OptimizerConfig("wmbe-x")
 
 
 class TestGaugeGradient:
@@ -114,7 +121,8 @@ class TestGaugeGradient:
         f0 = state.factors[0]
         log = f0.logmag.copy()
         log[0, 0, 0] = -400.0
-        state.factors[0] = Factor(f0.scope, f0.cards, f0.sign, log)
+        state.evaluator.set_factors(
+            {0: Factor(f0.scope, f0.cards, f0.sign, log)})
         with pytest.raises(ZeroFactorEntry) as err:
             gauge_gradient(state, state.factors[0].scope[0])
         assert err.value.factor_id == 0
@@ -196,13 +204,13 @@ class TestGaugeStep:
             assert all(f1 is f2 for f1, f2
                        in zip(factors_before, state.factors))
 
-    def test_singular_candidate_raises(self):
+    def test_singular_candidate_raises(self, monkeypatch):
         # condition limit of exactly 1 rejects every non-orthogonal
         # candidate, so the halvings run out with bad_cond still set
+        monkeypatch.setattr(optimize, "COND_LIMIT", 1.0)
+        monkeypatch.setattr(optimize, "MAX_BACKTRACKS", 2)
         g = fixture_model()
-        cfg = OptimizerConfig(max_backtracks=2, cond_limit=1.0,
-                              use_gauges=True)
-        state = init_state(g, fixture_tree(g), cfg)
+        state = init_state(g, fixture_tree(g))
         with pytest.raises(SingularGaugeStep):
             gauge_step(state, 0)
 
@@ -256,11 +264,11 @@ class TestWeightStep:
             assert sum(ws) == pytest.approx(1.0, abs=1e-12)
             assert all(w > 0 for w in ws)
 
-    def test_huge_step_hits_floor_but_stays_legal(self):
+    def test_huge_step_hits_floor_but_stays_legal(self, monkeypatch):
+        monkeypatch.setattr(optimize, "STEP_WEIGHT", 50.0)
         g = fixture_model()
         tree = fixture_tree(g)
-        state = init_state(g, tree, OptimizerConfig(step_weight=50.0,
-                                                    use_weights=True))
+        state = init_state(g, tree)
         weight_step(state)
         for v, ks in tree.splits.items():
             ws = [state.evaluator.weights[k] for k in ks]
