@@ -3,11 +3,13 @@
 
 Runs the one-pass bounds (mbe, wmbe) and every optimizer method for 5
 iterations in both directions over 3-regular, flip-symmetric, 6x6 grid
-and ``to_forney`` models, and prints the SHA-1 of the ``float.hex``
-values of all results.  Warnings are raised as errors; a run that
-raises records the exception's class name instead of a trace.  Run it
-at two commits to check that a refactor leaves every bound bitwise
-equal:
+and ``to_forney`` models.  For each model it also takes the tables of
+the model under ``random_valid_gauges`` at scale 0.5 and the exact
+``run_be`` value of the plain and of the gauged model.  It prints the
+SHA-1 of the ``float.hex`` values of all results.  Warnings are raised
+as errors; a run that raises records the exception's class name
+instead of a trace.  Run it at two commits to check that a refactor
+leaves every bound, gauged table and exact value bitwise equal:
 
     PYTHONPATH=src python3 scripts/trace_fingerprint.py
 """
@@ -17,12 +19,15 @@ import hashlib
 import warnings
 
 from gmbe import (
+    apply_gauges,
     build_minibucket_tree,
     default_order,
     gen_forney_3regular,
     gen_ising_grid,
     gen_symmetric_forney,
     ising_to_forney,
+    random_valid_gauges,
+    run_be,
     run_mbe,
     run_wmbe,
     to_forney,
@@ -31,6 +36,7 @@ from gmbe.optimize import OptimizerConfig, optimize_bound
 
 METHODS = ("wmbe-w", "wmbe-theta", "wmbe-wtheta", "wmbe-g", "wmbe-wg")
 ITERATIONS = 5
+GAUGE_SCALE = 0.5
 
 
 def models():
@@ -47,10 +53,24 @@ def models():
         yield f"forney-wide-{seed}", fg, 6
 
 
+def _tables(g):
+    """Every factor's signs, then its log-magnitudes, as one list."""
+    return [x for f in g.factors
+            for x in (*f.sign.ravel(), *f.logmag.ravel())]
+
+
 def results():
     """(label, list of floats or an exception name) for every run."""
-    for label, g, ibound in models():
+    for seed, (label, g, ibound) in enumerate(models()):
         order = default_order(g)
+        gauged = apply_gauges(g, random_valid_gauges(g, GAUGE_SCALE, seed))
+        yield f"{label} gauged tables", _tables(gauged)
+        for name, model in (("plain", g), ("gauged", gauged)):
+            try:
+                out = list(run_be(model, order))
+            except Exception as exc:  # recorded, not raised
+                out = type(exc).__name__
+            yield f"{label} {name} run_be", out
         for direction in ("upper", "lower"):
             tree = build_minibucket_tree(g, order, ibound, direction)
             runs = [("wmbe", lambda: run_wmbe(g, tree))]

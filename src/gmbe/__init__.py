@@ -14,13 +14,10 @@ from .generators import (
     ising_to_forney,
 )
 from .gauges import (
-    GaugeSet,
-    Reparam,
     apply_gauges,
-    check_constraint,
+    gauge_pair,
     gauge_transform_factor,
     random_valid_gauges,
-    reparam_as_gauges,
 )
 from .elimination import (
     BoundResult,

@@ -25,7 +25,6 @@ from .elimination import (
     BoundResult,
     build_minibucket_tree,
     default_order,
-    induced_width,
     run_be,
     run_mbe,
     run_wmbe,

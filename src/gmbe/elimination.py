@@ -28,7 +28,7 @@ sum over, and it is what the brute-force oracle re-enumerates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -39,7 +39,7 @@ from .errors import (
     WidthExceeded,
     ZeroWeight,
 )
-from .factors import Factor, expand_to, signed_sum_axes, SignedLog
+from .factors import Factor, product_over, signed_sum_axes, SignedLog
 
 BE_ENTRY_GUARD = 2 ** 24
 
@@ -173,12 +173,8 @@ def run_be(g, order, entry_guard=BE_ENTRY_GUARD):
         entries = int(np.prod([cards[u] for u in union]))
         if entries > entry_guard:
             raise WidthExceeded(len(union) - 1, entry_guard)
-        shape = tuple(cards[u] for u in union)
-        sign = np.ones(shape)
-        logmag = np.zeros(shape)
-        for f in group:
-            sign = sign * expand_to(f.sign, f.scope, union)
-            logmag = logmag + expand_to(f.logmag, f.scope, union)
+        sign, logmag = product_over(group, union,
+                                    tuple(cards[u] for u in union))
         ax = union.index(v)
         out_sign, out_log = signed_sum_axes(sign, logmag, ax)
         rest = [u for u in union if u != v]
@@ -484,11 +480,16 @@ class TreeEvaluator:
         return ("f", undo_f, undo_b)
 
     def set_weights(self, updates):
-        """Set per-mini-bucket weights; returns an undo token."""
-        undo_w = {k: self.weights[k] for k in updates}
+        """Set per-mini-bucket weights; returns an undo token.
+
+        Every weight is checked before any is set, so a rejected update
+        leaves the evaluator as it was.
+        """
         for k, w in updates.items():
             if w == 0.0:
                 raise ZeroWeight(f"zero weight at mini-bucket {k}")
+        undo_w = {k: self.weights[k] for k in updates}
+        for k, w in updates.items():
             self.weights[k] = w
         path = self._path_from(set(updates))
         undo_b = {k: (self.psi[k], self.msg[k]) for k in path}

@@ -35,18 +35,6 @@ class DimensionMismatch(GmbeError):
     """A transform matrix does not match the variable cardinality."""
 
 
-class ConstraintViolated(GmbeError):
-    """An edge-matrix pair deviates from the invariance constraint."""
-
-    def __init__(self, var, deviation, tol):
-        self.var = var
-        self.deviation = deviation
-        super().__init__(
-            f"transform pair at var {var} deviates from identity product by "
-            f"{deviation:.3e} (tol {tol:.1e})"
-        )
-
-
 class GenerationFailed(GmbeError):
     """Random generation exhausted its retry budget."""
 
@@ -94,7 +82,7 @@ class ZeroFactorEntry(GmbeError):
 
 
 class SingularGaugeStep(GmbeError):
-    """Candidate edge matrix is too ill-conditioned to invert."""
+    """An edge matrix is singular or too ill-conditioned to invert."""
 
 
 class ParseError(GmbeError):

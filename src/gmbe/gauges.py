@@ -8,28 +8,23 @@ cancels them.  Concretely a factor is rewritten as
     f_hat(x) = sum_{x'} f(x') * prod_v G_v(x_v, x'_v)
 
 with one matrix per scope variable (first index new state, second index
-contracted against the old table).  As long as the pair on every edge
-multiplies to the identity (transpose of one times the other), Z is
-unchanged, even though individual transformed tables may go negative.
+contracted against the old table).  Because the pair multiplies to the
+identity (transpose of one times the other), Z is unchanged, even
+though individual transformed tables may go negative.
 
-A reparameterization is the diagonal nonnegative special case: opposite
-log-scale vectors on the two edges of each variable.
+A gauge is therefore a ``{variable: matrix}`` mapping: the matrix sits
+on the variable's free edge, the one to its lower-id factor, and
+``gauge_pair`` derives its partner.  Variables left out keep the
+identity.  A reparameterization is the diagonal special case,
+``{v: np.diag(np.exp(theta))}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    ConstraintViolated,
-    DimensionMismatch,
-    GenerationFailed,
-)
+from .errors import DimensionMismatch, GenerationFailed, SingularGaugeStep
 from .factors import Factor
-
-CONSTRAINT_TOL = 1e-8
 
 
 def gauge_transform_factor(f, matrices):
@@ -61,152 +56,61 @@ def gauge_transform_factor(f, matrices):
     return Factor(f.scope, f.cards, np.sign(vals), logmag)
 
 
-@dataclass(frozen=True)
-class GaugeSet:
-    """One matrix per (variable, factor) incidence of a degree-2 model.
+def gauge_pair(mat):
+    """The matrices a free-edge matrix puts on its variable's two edges.
 
-    For each variable one edge is designated free; the matrix on the
-    other edge is tied to it as the transpose-inverse so the pair
-    satisfies the invariance constraint by construction.
+    Returns ``(mat, inv(mat.T))``: the free edge's matrix and its
+    partner, whose product ``mat.T @ partner`` is the identity.
     """
-
-    graph: object
-    matrices: dict     # (var, factor id) -> (d, d) ndarray
-    free: dict         # var -> factor id of the free edge
-
-    @classmethod
-    def identity(cls, g):
-        mats = {}
-        free = {}
-        for v in range(g.num_vars):
-            a, b = g.edge_pair(v)
-            eye = np.eye(g.cards[v])
-            mats[(v, a)] = eye
-            mats[(v, b)] = eye.copy()
-            free[v] = a
-        return cls(g, mats, free)
-
-    @classmethod
-    def from_free(cls, g, free_mats):
-        """Build a valid set from free-edge matrices (lower factor id);
-        the conjugate edge gets the transpose-inverse."""
-        mats = {}
-        free = {}
-        for v in range(g.num_vars):
-            a, b = g.edge_pair(v)
-            d = g.cards[v]
-            mat = np.asarray(free_mats.get(v, np.eye(d)), dtype=float)
-            if mat.shape != (d, d):
-                raise DimensionMismatch(
-                    f"matrix for var {v} has shape {mat.shape}, need {(d, d)}"
-                )
-            mats[(v, a)] = mat
-            mats[(v, b)] = np.linalg.inv(mat.T)
-            free[v] = a
-        return cls(g, mats, free)
-
-    def pair(self, v):
-        a, b = self.graph.edge_pair(v)
-        return self.matrices[(v, a)], self.matrices[(v, b)]
+    mat = np.asarray(mat, dtype=float)
+    try:
+        return mat, np.linalg.inv(mat.T)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGaugeStep(f"gauge matrix is singular: {exc}") from exc
 
 
-def check_constraint(gauges):
-    """Deviation of each edge pair from the invariance constraint.
-
-    Returns (per-variable max-abs of G_a^T G_b - I, overall max).
-    """
-    g = gauges.graph
-    per_var = {}
-    for v in range(g.num_vars):
-        ga, gb = gauges.pair(v)
-        dev = np.abs(ga.T @ gb - np.eye(g.cards[v])).max()
-        per_var[v] = float(dev)
-    overall = max(per_var.values()) if per_var else 0.0
-    return per_var, overall
-
-
-def apply_gauges(g, gauges, tol=CONSTRAINT_TOL):
+def apply_gauges(g, gauges):
     """Transform every factor by the matrices on its edges.
 
-    Refuses to run if any edge pair deviates from the constraint by
-    more than ``tol``; within it, the partition function is preserved
-    to matching accuracy.
+    ``gauges`` maps variables to free-edge matrices; each factor
+    contracts the matrices of its gauged variables in scope order, and
+    a factor with none is returned as it is.
     """
-    per_var, overall = check_constraint(gauges)
-    if overall > tol:
-        worst = max(per_var, key=per_var.get)
-        raise ConstraintViolated(worst, per_var[worst], tol)
+    sides = [{} for _ in g.factors]
+    for v, mat in gauges.items():
+        d = g.cards[v]
+        if np.shape(mat) != (d, d):
+            raise DimensionMismatch(
+                f"matrix for var {v} has shape {np.shape(mat)}, need {(d, d)}"
+            )
+        a, b = g.edge_pair(v)
+        sides[a][v], sides[b][v] = gauge_pair(mat)
     new_factors = []
-    for fid, f in enumerate(g.factors):
-        mats = {v: gauges.matrices[(v, fid)] for v in f.scope}
-        new_factors.append(gauge_transform_factor(f, mats))
+    for f, mats in zip(g.factors, sides):
+        mats = {v: mats[v] for v in f.scope if v in mats}
+        new_factors.append(gauge_transform_factor(f, mats) if mats else f)
     return type(g)(g.cards, tuple(new_factors))
 
 
 def random_valid_gauges(g, scale, seed=0, cond_limit=1e3, max_attempts=100):
-    """Random perturbations of the identity, valid by construction.
+    """Random perturbations of the identity on every variable.
 
     Free-edge matrices are I + scale * U(-1, 1) entries, resampled (up
     to ``max_attempts`` per variable) until the condition number is
-    below ``cond_limit`` so the conjugate edge inverts stably.
+    below ``cond_limit`` so the partner edge inverts stably.
     """
     rng = np.random.default_rng(seed)
-    free_mats = {}
+    gauges = {}
     for v in range(g.num_vars):
         d = g.cards[v]
         for _ in range(max_attempts):
             mat = np.eye(d) + scale * rng.uniform(-1.0, 1.0, size=(d, d))
             if np.linalg.cond(mat) < cond_limit:
-                free_mats[v] = mat
+                gauges[v] = mat
                 break
         else:
             raise GenerationFailed(
                 f"no well-conditioned matrix for var {v} "
                 f"after {max_attempts} attempts"
             )
-    return GaugeSet.from_free(g, free_mats)
-
-
-@dataclass(frozen=True)
-class Reparam:
-    """Log-scale vectors on each edge, opposite within each pair."""
-
-    graph: object
-    thetas: dict    # (var, factor id) -> log-scale vector
-
-    @classmethod
-    def zero(cls, g):
-        return cls.from_free(g, {})
-
-    @classmethod
-    def from_free(cls, g, free_thetas):
-        thetas = {}
-        for v in range(g.num_vars):
-            a, b = g.edge_pair(v)
-            th = np.asarray(
-                free_thetas.get(v, np.zeros(g.cards[v])), dtype=float
-            )
-            if th.shape != (g.cards[v],):
-                raise DimensionMismatch(
-                    f"theta for var {v} has shape {th.shape}"
-                )
-            thetas[(v, a)] = th
-            thetas[(v, b)] = -th
-        return cls(g, thetas)
-
-    def __post_init__(self):
-        for v in range(self.graph.num_vars):
-            a, b = self.graph.edge_pair(v)
-            s = self.thetas[(v, a)] + self.thetas[(v, b)]
-            if np.abs(s).max() > 0.0:
-                raise ValueError(f"thetas at var {v} do not cancel")
-
-
-def reparam_as_gauges(r):
-    """The equivalent diagonal transform set of a reparameterization."""
-    g = r.graph
-    mats = {
-        key: np.diag(np.exp(th)) for key, th in r.thetas.items()
-    }
-    free = {v: g.edge_pair(v)[0] for v in range(g.num_vars)}
-    return GaugeSet(g, mats, free)
+    return gauges

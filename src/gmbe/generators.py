@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotAGrid, OddFactorCount
 from .factors import Factor, multiply_factors
-from .graphs import FactorGraph, ForneyGraph, validate_forney
+from .graphs import FactorGraph, validate_forney
 
 # State k of a spin variable encodes spin value +1 (k=0) or -1 (k=1).
 _SPIN = np.array([1.0, -1.0])

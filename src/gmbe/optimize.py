@@ -32,7 +32,7 @@ import numpy as np
 
 from .elimination import BoundResult, TreeEvaluator
 from .errors import SingularGaugeStep, ZeroFactorEntry
-from .gauges import gauge_transform_factor
+from .gauges import gauge_pair, gauge_transform_factor
 
 STEP_GAUGE = 0.01
 STEP_WEIGHT = 0.1
@@ -195,7 +195,7 @@ def gauge_step(state, v):
         bad_cond = not np.isfinite(cond) or cond > COND_LIMIT
         if bad_cond:
             return None
-        partner = np.linalg.inv(cand.T)
+        cand, partner = gauge_pair(cand)
         return ev.set_factors({a: gauge_transform_factor(fa, {v: cand}),
                                b: gauge_transform_factor(fb, {v: partner})})
 

@@ -17,7 +17,6 @@ from hypothesis.extra.numpy import arrays
 from gmbe import (
     Factor,
     FactorGraph,
-    GaugeSet,
     TreeEvaluator,
     apply_gauges,
     brute_z,
@@ -464,6 +463,26 @@ class TestEvaluatorIncremental:
         token = ev.set_weights({ks[0]: 0.9, ks[1]: 0.1})
         ev.restore(token)
         assert ev.bound() == before
+
+    def test_rejected_weight_update_changes_nothing(self):
+        g = gen_forney_3regular(8, t=1.0, seed=0)
+        tree = build_minibucket_tree(g, default_order(g), 2)
+        ev = TreeEvaluator(tree, g.factors)
+        ks = next(ks for ks in tree.splits.values() if len(ks) > 1)
+        weights = ev.weights.copy()
+        msgs = [m.copy() for m in ev.msg]
+        before = ev.bound()
+        with pytest.raises(ZeroWeight):
+            ev.set_weights({ks[0]: 0.9, ks[1]: 0.0})
+        np.testing.assert_array_equal(ev.weights, weights)
+        for got, want in zip(ev.msg, msgs):
+            np.testing.assert_array_equal(got, want)
+        assert ev.bound() == before
+        # the next edit starts from the untouched weights
+        ev.set_weights({ks[0]: 0.7, ks[1]: 0.3})
+        ws = list(tree.initial_weights)
+        ws[ks[0]], ws[ks[1]] = 0.7, 0.3
+        assert ev.bound() == TreeEvaluator(tree, g.factors, weights=ws).bound()
 
     # (model, ibound): 3-regular; a grid in its degree-2 form; a
     # to_forney model whose equality factors hold zeros, so some

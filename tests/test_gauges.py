@@ -13,18 +13,13 @@ import pytest
 from gmbe import (
     Factor,
     ForneyGraph,
-    GaugeSet,
-    Reparam,
     apply_gauges,
     brute_z,
-    check_constraint,
+    gauge_pair,
     gauge_transform_factor,
     random_valid_gauges,
-    reparam_as_gauges,
-    to_forney,
-    validate_forney,
 )
-from gmbe.errors import ConstraintViolated, DimensionMismatch, GenerationFailed
+from gmbe.errors import DimensionMismatch, GenerationFailed, SingularGaugeStep
 
 A = np.array([[0.75, 0.25], [0.25, 0.75]])
 B = np.array([[1.5, -0.5], [-0.5, 1.5]])
@@ -186,45 +181,73 @@ class TestPublishedTableDefects:
         assert F_C.sum() == G_C.sum() == 19840
 
 
+def pair_deviation(mat):
+    """Max-abs entry of G_a^T G_b - I for the pair a free matrix makes."""
+    ga, gb = gauge_pair(mat)
+    return np.abs(ga.T @ gb - np.eye(len(ga))).max()
+
+
 class TestCheckConstraint:
+    """The pair ``gauge_pair`` derives satisfies G_a^T G_b = I."""
+
     def test_conjugate_pair_is_exact(self):
-        per_var, overall = check_constraint(
-            GaugeSet.from_free(cycle_model(), {v: A for v in range(6)})
-        )
-        assert overall < 1e-12
-        assert all(d < 1e-12 for d in per_var.values())
+        assert pair_deviation(A) < 1e-12
+        np.testing.assert_allclose(gauge_pair(A)[1], B, atol=1e-15)
 
     def test_identity_zero(self):
-        _, overall = check_constraint(GaugeSet.identity(cycle_model()))
-        assert overall == 0.0
+        ga, gb = gauge_pair(np.eye(2))
+        np.testing.assert_array_equal(ga, np.eye(2))
+        np.testing.assert_array_equal(gb, np.eye(2))
+        assert pair_deviation(np.eye(2)) == 0.0
 
-    def test_broken_pair_deviation_half(self):
+    def test_singular_matrix_raises(self):
+        with pytest.raises(SingularGaugeStep):
+            gauge_pair(np.array([[1.0, 2.0], [2.0, 4.0]]))
         g = cycle_model()
-        gs = GaugeSet.from_free(g, {v: A for v in range(6)})
-        mats = dict(gs.matrices)
-        v = 0
-        a, b = g.edge_pair(v)
-        mats[(v, a)] = np.eye(2)  # leave only the conjugate B on the pair
-        broken = GaugeSet(g, mats, gs.free)
-        per_var, overall = check_constraint(broken)
-        # I^T B - I = B - I has max-magnitude entry 0.5
-        assert per_var[v] == pytest.approx(0.5, abs=1e-12)
-        assert overall == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(SingularGaugeStep):
+            apply_gauges(g, {3: np.zeros((2, 2))})
 
 
 class TestApplyGauges:
     def test_identity_unchanged(self):
         g = cycle_model()
-        out = apply_gauges(g, GaugeSet.identity(g))
+        out = apply_gauges(g, {v: np.eye(2) for v in range(6)})
         for fa, fb in zip(g.factors, out.factors):
             np.testing.assert_allclose(fa.linear(), fb.linear(), rtol=1e-14)
 
+    def test_left_out_variables_keep_the_identity(self):
+        g = cycle_model()
+        out = apply_gauges(g, {})
+        assert all(x is y for x, y in zip(out.factors, g.factors))
+        # variable 0 sits on factors 0 and 5 only
+        a, b = g.edge_pair(0)
+        assert (a, b) == (0, 5)
+        out = apply_gauges(g, {0: A})
+        for fid in range(1, 5):
+            assert out.factors[fid] is g.factors[fid]
+        np.testing.assert_allclose(
+            out.factors[a].linear(),
+            gauge_transform_factor(g.factors[a], {0: A}).linear(),
+            rtol=1e-14)
+        np.testing.assert_allclose(
+            out.factors[b].linear(),
+            gauge_transform_factor(g.factors[b], {0: B}).linear(),
+            rtol=1e-14)
+        assert brute_z(out).logabs == pytest.approx(
+            brute_z(g).logabs, rel=1e-12
+        )
+
+    def test_wrong_shape_raises(self):
+        g = cycle_model()
+        with pytest.raises(DimensionMismatch):
+            apply_gauges(g, {2: np.eye(3)})
+        with pytest.raises(DimensionMismatch):
+            apply_gauges(g, {2: np.ones(2)})
+
     def test_golden_supplement_model(self):
         g = golden_model()
-        gauges = GaugeSet.from_free(g, {v: A for v in range(6)})
-        _, dev = check_constraint(gauges)
-        assert dev < 1e-12
-        out = apply_gauges(g, gauges)
+        assert pair_deviation(A) < 1e-12
+        out = apply_gauges(g, {v: A for v in range(6)})
         for got, want in zip(out.factors, (G_A, G_B, G_C, G_D)):
             np.testing.assert_allclose(got.linear(), want, atol=0.5)
         assert brute_z(out).logabs == pytest.approx(
@@ -240,34 +263,26 @@ class TestApplyGauges:
             brute_z(g).logabs, abs=1e-9
         )
 
-    def test_constraint_violated(self):
-        g = cycle_model()
-        gs = GaugeSet.identity(g)
-        mats = dict(gs.matrices)
-        mats[(0, g.edge_pair(0)[0])] = np.array([[2.0, 0.0], [0.0, 2.0]])
-        with pytest.raises(ConstraintViolated):
-            apply_gauges(g, GaugeSet(g, mats, gs.free))
-
 
 class TestRandomValidGauges:
     def test_scale_zero_identity(self):
         g = cycle_model()
-        gs = random_valid_gauges(g, scale=0.0, seed=3)
-        for mat in gs.matrices.values():
-            np.testing.assert_array_equal(mat, np.eye(2))
+        gauges = random_valid_gauges(g, scale=0.0, seed=3)
+        assert sorted(gauges) == list(range(6))
+        for mat in gauges.values():
+            for m in gauge_pair(mat):
+                np.testing.assert_array_equal(m, np.eye(2))
 
     def test_constraint_tight(self):
         g = cycle_model()
-        gs = random_valid_gauges(g, scale=0.2, seed=1)
-        _, dev = check_constraint(gs)
-        assert dev < 1e-12
+        gauges = random_valid_gauges(g, scale=0.2, seed=1)
+        assert max(pair_deviation(m) for m in gauges.values()) < 1e-12
 
     def test_condition_bounded(self):
         g = cycle_model()
-        gs = random_valid_gauges(g, scale=0.5, seed=2)
-        for (v, fid), mat in gs.matrices.items():
-            if gs.free[v] == fid:
-                assert np.linalg.cond(mat) < 1e3
+        gauges = random_valid_gauges(g, scale=0.5, seed=2)
+        for mat in gauges.values():
+            assert np.linalg.cond(mat) < 1e3
 
     def test_generation_failed_when_impossible(self):
         g = cycle_model()
@@ -276,46 +291,21 @@ class TestRandomValidGauges:
 
 
 class TestReparam:
-    def test_zero_sum_enforced(self):
-        g = cycle_model()
-        a, b = g.edge_pair(0)
-        thetas = {(v, fid): np.zeros(2) for v in range(6)
-                  for fid in g.edge_pair(v)}
-        thetas[(0, a)] = np.array([0.1, -0.2])
-        with pytest.raises(ValueError):
-            Reparam(g, thetas)
-
-    def test_from_free_cancels(self):
-        g = cycle_model()
-        r = Reparam.from_free(g, {v: np.array([0.3, -0.7])
-                                  for v in range(6)})
-        for v in range(6):
-            a, b = g.edge_pair(v)
-            np.testing.assert_allclose(
-                r.thetas[(v, a)] + r.thetas[(v, b)], 0.0, atol=1e-15
-            )
+    """A reparameterization is the diagonal gauge {v: diag(exp(theta))}."""
 
     def test_as_gauges_diagonal_example(self):
-        g = cycle_model()
-        r = Reparam.from_free(
-            g, {v: np.log(np.array([2.0, 3.0])) for v in range(6)}
-        )
-        gs = reparam_as_gauges(r)
-        a, b = g.edge_pair(0)
-        np.testing.assert_allclose(gs.matrices[(0, a)],
-                                   np.diag([2.0, 3.0]), rtol=1e-14)
-        np.testing.assert_allclose(gs.matrices[(0, b)],
-                                   np.diag([0.5, 1 / 3.0]), rtol=1e-14)
-        _, dev = check_constraint(gs)
-        assert dev < 1e-12
+        theta = np.log(np.array([2.0, 3.0]))
+        ga, gb = gauge_pair(np.diag(np.exp(theta)))
+        np.testing.assert_allclose(ga, np.diag([2.0, 3.0]), rtol=1e-14)
+        np.testing.assert_allclose(gb, np.diag([0.5, 1 / 3.0]), rtol=1e-14)
+        assert pair_deviation(ga) < 1e-12
 
     def test_matches_direct_scaling(self):
         g = cycle_model(seed=9)
         vec = np.array([0.4, -0.4])
         v = 2
         a, b = g.edge_pair(v)
-        r = Reparam.from_free(g, {v: vec})
-        out = apply_gauges(g, reparam_as_gauges(r))
+        out = apply_gauges(g, {v: np.diag(np.exp(vec))})
         direct_a = g.factors[a].scale_axis_log(v, vec)
         direct_b = g.factors[b].scale_axis_log(v, -vec)
         np.testing.assert_allclose(out.factors[a].linear(),
