@@ -3,13 +3,15 @@
 
 Runs the one-pass bounds (mbe, wmbe) and every optimizer method for 5
 iterations in both directions over 3-regular, flip-symmetric, 6x6 grid
-and ``to_forney`` models.  For each model it also takes the tables of
-the model under ``random_valid_gauges`` at scale 0.5 and the exact
-``run_be`` value of the plain and of the gauged model.  It prints the
-SHA-1 of the ``float.hex`` values of all results.  Warnings are raised
-as errors; a run that raises records the exception's class name
-instead of a trace.  Run it at two commits to check that a refactor
-leaves every bound, gauged table and exact value bitwise equal:
+and ``to_forney`` models.  For each model it also takes its
+``default_order``, the tables of the model under ``random_valid_gauges``
+at scale 0.5 and the exact ``run_be`` value of the plain and of the
+gauged model, and it adds the orders of 12x12 and 16x16 grids, on
+which no bound is run.  It prints the SHA-1 of the orders and of the
+``float.hex`` values of all results.  Warnings are raised as errors; a
+run that raises records the exception's class name instead of a trace.
+Run it at two commits to check that a refactor leaves every order,
+bound, gauged table and exact value bitwise equal:
 
     PYTHONPATH=src python3 scripts/trace_fingerprint.py
 """
@@ -37,6 +39,7 @@ from gmbe.optimize import OptimizerConfig, optimize_bound
 METHODS = ("wmbe-w", "wmbe-theta", "wmbe-wtheta", "wmbe-g", "wmbe-wg")
 ITERATIONS = 5
 GAUGE_SCALE = 0.5
+ORDER_ONLY_GRIDS = (12, 16)
 
 
 def models():
@@ -60,9 +63,10 @@ def _tables(g):
 
 
 def results():
-    """(label, list of floats or an exception name) for every run."""
+    """(label, list of floats, an order or an exception name) per run."""
     for seed, (label, g, ibound) in enumerate(models()):
         order = default_order(g)
+        yield f"{label} order", " ".join(map(str, order))
         gauged = apply_gauges(g, random_valid_gauges(g, GAUGE_SCALE, seed))
         yield f"{label} gauged tables", _tables(gauged)
         for name, model in (("plain", g), ("gauged", gauged)):
@@ -86,6 +90,9 @@ def results():
                 except Exception as exc:  # recorded, not raised
                     out = type(exc).__name__
                 yield f"{label} {direction} {method}", out
+    for n in ORDER_ONLY_GRIDS:
+        g = ising_to_forney(gen_ising_grid(n, n, 1.0, seed=0))
+        yield f"grid-{n}x{n} order", " ".join(map(str, default_order(g)))
 
 
 def main(argv=None):

@@ -31,12 +31,7 @@ from .elimination import (
     run_wmbe,
     wsum,
 )
-from .oracle import (
-    brute_aux_marginals,
-    brute_wmbe,
-    brute_z,
-    fd_gradient,
-)
+from .oracle import brute_z
 from .elimination import TreeEvaluator, check_weights
 from .fileio import ResultRow, emit_csv, emit_uai, parse_uai, read_uai_file
 from .optimize import (

@@ -105,14 +105,16 @@ def _lower_unsupported(method, lower):
     return False
 
 
-def _compute_bound(g, fg, method, ibound, iters, lower=False):
+def _compute_bound(g, fg, method, ibound, iters, lower=False, order=None):
+    """``method``'s bound; ``order`` is ``fg``'s, computed if not given."""
     if method == "be":
         t0 = time.perf_counter()
         z = run_be(g, default_order(g))
         return BoundResult("be", "exact", z.logabs, (z.logabs,),
                            time.perf_counter() - t0)
     direction = "lower" if lower else "upper"
-    order = default_order(fg)
+    if order is None:
+        order = default_order(fg)
     tree = build_minibucket_tree(fg, order, ibound, direction=direction)
     if method == "mbe":
         return run_mbe(fg, tree)
@@ -276,13 +278,14 @@ def _sweep_task(spec, t, seed):
     try:
         g = _generate(spec.model, spec, t, seed)
         fg = _forney_view(g)
+        order = default_order(fg)
         ref = None
         try:
-            z = run_be(fg, default_order(fg))
+            z = run_be(fg, order)
             ref = z.logabs
         except GmbeError:
             ref = None
-        mbe_res = _compute_bound(g, fg, "mbe", spec.ibound, 0)
+        mbe_res = _compute_bound(g, fg, "mbe", spec.ibound, 0, order=order)
         baseline = ref if ref is not None else mbe_res.log_bound
     except GmbeError as e:
         for method in spec.methods:
@@ -296,7 +299,7 @@ def _sweep_task(spec, t, seed):
                 res = mbe_res
             else:
                 res = _compute_bound(g, fg, method, spec.ibound,
-                                     spec.iterations)
+                                     spec.iterations, order=order)
             rows.append(ResultRow(
                 name, method, spec.ibound, t, seed, res.direction,
                 res.log_bound, ref_log_z=ref,

@@ -112,7 +112,3 @@ class BudgetExceeded(GmbeError):
         self.states = states
         self.budget = budget
         super().__init__(f"{states} joint states exceed budget {budget}")
-
-
-class NonFiniteEvaluation(GmbeError):
-    """A numeric probe returned NaN or an unexpected infinity."""

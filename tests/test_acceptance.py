@@ -43,9 +43,9 @@ from gmbe.optimize import (
     optimize_bound,
     reparam_gradient,
 )
-from gmbe.oracle import fd_gradient
 
 from conftest import random_forney_from_pairwise, random_pairwise_graph
+from oracles import fd_gradient
 
 # traces collected by criteria 6 and 7, asserted wholesale by criterion 8
 _COLLECTED_TRACES = []

@@ -340,6 +340,23 @@ class TestSweep:
         pooled = self._run(tmp_path, capsys, "pooled.csv")
         assert serial.read_bytes() == pooled.read_bytes()
 
+    def test_one_order_per_instance(self, tmp_path, capsys, monkeypatch):
+        import gmbe.cli as cli_mod
+        real = cli_mod.default_order
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setenv("GMBE_THREADS", "1")
+        monkeypatch.setattr(cli_mod, "default_order", counted)
+        self._run(tmp_path, capsys, extra=(
+            "--methods", "mbe,wmbe,wmbe-w,wmbe-theta,wmbe-wtheta,wmbe-g,"
+                         "wmbe-wg"))
+        # 2 strengths x 2 trials, each ordered once for all 7 methods
+        assert len(calls) == 4
+
     def test_timings_flag_adds_wall_time(self, tmp_path, capsys):
         out = self._run(tmp_path, capsys, "timed.csv",
                         extra=("--timings",))

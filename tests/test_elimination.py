@@ -25,12 +25,14 @@ from gmbe import (
     default_order,
     gen_forney_3regular,
     gen_ising_grid,
+    gen_symmetric_forney,
     induced_width,
     ising_to_forney,
     random_valid_gauges,
     run_be,
     run_mbe,
     run_wmbe,
+    to_forney,
     wsum,
 )
 from gmbe.elimination import EliminationOrder, lower_weights
@@ -40,13 +42,13 @@ from gmbe.errors import (
     WidthExceeded,
     ZeroWeight,
 )
-from gmbe.oracle import brute_wmbe
 
 from conftest import (
     random_forney_from_pairwise,
     random_forney_graph,
     random_pairwise_graph,
 )
+from oracles import brute_wmbe, greedy_min_fill, reference_min_fill_order
 
 
 def chain_graph(n, seed=0):
@@ -152,6 +154,64 @@ class TestOrders:
             order = default_order(g)
             assert induced_width(g, order) <= induced_width(
                 g, EliminationOrder(range(9)))
+
+
+def disjoint_union(*graphs):
+    """Side-by-side copies of ``graphs``, variable ids offset in turn."""
+    cards, factors = [], []
+    for g in graphs:
+        off = len(cards)
+        factors += [Factor(tuple(v + off for v in f.scope), f.cards,
+                           f.sign, f.logmag) for f in g.factors]
+        cards += g.cards
+    return FactorGraph(tuple(cards), tuple(factors))
+
+
+def _order_models():
+    """(label, model) pairs on which the incremental min-fill is pinned."""
+    for seed in range(6):
+        for n, e in ((8, 10), (14, 30), (20, 60)):
+            yield (f"pairwise-{n}-{e}-{seed}",
+                   random_pairwise_graph(n, e, seed))
+        # several components, one of them a lone variable
+        yield (f"disconnected-{seed}", disjoint_union(
+            random_pairwise_graph(7, 12, seed),
+            FactorGraph((3,), (Factor.uniform((0,), (3,)),)),
+            random_pairwise_graph(9, 15, seed + 100)))
+        yield f"to_forney-grid-{seed}", to_forney(
+            gen_ising_grid(4, 4, 1.0, seed=seed))[0]
+        yield f"to_forney-pairwise-{seed}", random_forney_from_pairwise(
+            12, 24, seed)
+        for n in (6, 12, 20):
+            yield f"3reg-{n}-{seed}", gen_forney_3regular(n, 1.0, seed)
+            yield f"sym-{n}-{seed}", gen_symmetric_forney(n, 1.0, seed)
+    for rows, cols in ((2, 2), (3, 5), (6, 6), (8, 8), (7, 12), (12, 12)):
+        yield f"grid-{rows}x{cols}", ising_to_forney(
+            gen_ising_grid(rows, cols, 1.0, seed=rows))
+
+
+_ORDER_MODELS = list(_order_models())
+
+
+class TestIncrementalMinFill:
+    """``default_order`` against the full-rescan greedy it replaced."""
+
+    @pytest.mark.parametrize("label,g", _ORDER_MODELS,
+                             ids=[m[0] for m in _ORDER_MODELS])
+    def test_matches_full_rescan(self, label, g):
+        assert default_order(g) == reference_min_fill_order(g)
+
+    def test_set_holds_wide_equality_factors(self):
+        arity = max(f.arity for label, g in _ORDER_MODELS
+                    if label.startswith("to_forney") for f in g.factors)
+        assert arity >= 5
+
+    def test_identity_guard_wins(self):
+        g = gen_ising_grid(7, 7, 1.0, seed=0)
+        identity = EliminationOrder(range(g.num_vars))
+        assert induced_width(g, identity) < induced_width(
+            g, greedy_min_fill(g))
+        assert default_order(g) == identity == reference_min_fill_order(g)
 
 
 class TestRunBE:

@@ -34,9 +34,9 @@ from gmbe.optimize import (
     reparam_step,
     weight_step,
 )
-from gmbe.oracle import brute_aux_marginals, fd_gradient
 
 from conftest import random_forney_from_pairwise
+from oracles import brute_aux_marginals, fd_gradient
 
 METHODS = ("wmbe", "wmbe-w", "wmbe-theta", "wmbe-wtheta", "wmbe-g",
            "wmbe-wg")

@@ -22,14 +22,15 @@ from gmbe import (
     run_be,
     run_wmbe,
 )
-from gmbe.errors import BudgetExceeded, NonFiniteEvaluation
-from gmbe.oracle import (
+from gmbe.errors import BudgetExceeded
+
+from conftest import random_forney_graph, random_pairwise_graph
+from oracles import (
+    NonFiniteEvaluation,
     brute_aux_marginals,
     brute_wmbe,
     fd_gradient,
 )
-
-from conftest import random_forney_graph, random_pairwise_graph
 
 
 def single_factor(table):
