@@ -10,7 +10,11 @@ least 3):
 - one ``TreeEvaluator._recompute`` and one single-bucket ``beliefs``
   call, each the mean over every mini-bucket of the tree;
 - one ``gauge_transform_factor`` call, the mean over every factor with
-  a random matrix on each of its variables.
+  a random matrix on each of its variables;
+- one ``gauge_gradient`` call, the mean over every variable;
+- one sweep of each step family: ``gauge_step`` over ``tree.order``,
+  ``weight_step`` and ``reparam_step``, each from a fresh
+  ``init_state`` built outside the timed region.
 
 It prints one line per layer and records the core count and the Python,
 numpy and scipy versions.  Quote it before and after a change to one
@@ -34,25 +38,32 @@ from gmbe import (
     TreeEvaluator,
     build_minibucket_tree,
     default_order,
+    gauge_gradient,
+    gauge_step,
     gauge_transform_factor,
     gen_ising_grid,
+    init_state,
     ising_to_forney,
+    reparam_step,
     run_be,
+    weight_step,
 )
 from gmbe.errors import GmbeError
 
 
-def _median_time(fn, repeats, calls=1):
+def _median_time(fn, repeats, calls=1, setup=None):
     """Median over ``repeats`` runs of ``fn``'s time per call, in seconds.
 
-    Returns the error's class name instead if ``fn`` raises a library
-    error.
+    If ``setup`` is given, it runs untimed before each run and ``fn``
+    gets its result.  Returns the error's class name instead if either
+    raises a library error.
     """
     runs = []
     for _ in range(repeats):
-        t0 = time.perf_counter()
         try:
-            fn()
+            args = () if setup is None else (setup(),)
+            t0 = time.perf_counter()
+            fn(*args)
         except GmbeError as exc:
             return type(exc).__name__
         runs.append((time.perf_counter() - t0) / calls)
@@ -82,6 +93,19 @@ def time_layers(n, ibound, repeats):
         for f, mats in gauged:
             gauge_transform_factor(f, mats)
 
+    state = init_state(g, tree)
+
+    def gradient_each():
+        for v in range(g.num_vars):
+            gauge_gradient(state, v)
+
+    def gauge_sweep(fresh):
+        for v in tree.order:
+            gauge_step(fresh, v)
+
+    def fresh_state():
+        return init_state(g, tree)
+
     layers = {
         "default_order": _median_time(lambda: default_order(g), repeats),
         "build_minibucket_tree": _median_time(
@@ -92,6 +116,13 @@ def time_layers(n, ibound, repeats):
         "TreeEvaluator.beliefs": _median_time(beliefs_each, repeats, nb),
         "gauge_transform_factor": _median_time(transform_all, repeats,
                                                len(gauged)),
+        "gauge_gradient": _median_time(gradient_each, repeats, g.num_vars),
+        "gauge_step sweep": _median_time(gauge_sweep, repeats,
+                                         setup=fresh_state),
+        "weight_step sweep": _median_time(weight_step, repeats,
+                                          setup=fresh_state),
+        "reparam_step sweep": _median_time(reparam_step, repeats,
+                                           setup=fresh_state),
     }
     return {"grid": f"{n}x{n}", "variables": g.num_vars,
             "factors": len(g.factors), "ibound": ibound,

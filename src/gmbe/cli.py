@@ -86,8 +86,9 @@ def _generate(family, args, t, seed):
 def _forney_view(g):
     """Degree-2 form of a model: grid plaquettes if it is a spin grid.
 
-    ``ising_to_forney`` keeps every table free of zeros and small
-    enough for low ibounds; any other model goes through ``to_forney``.
+    ``ising_to_forney`` keeps a grid's tables small enough for low
+    ibounds and its bounds tighter than equality factors allow; any
+    other model goes through ``to_forney``.
     """
     try:
         return ising_to_forney(g)
@@ -217,10 +218,11 @@ def cmd_verify(args):
         return EXIT_RUNTIME
     print(f"brute-force log Z = {exact.logabs:.12f}")
     fg = _forney_view(g)
+    order = default_order(fg)
     ok = True
     for method, name, lower in methods:
         res = _compute_bound(g, fg, name, args.ibound, args.iters,
-                             lower=lower)
+                             lower=lower, order=order)
         gap = res.log_bound - exact.logabs
         if res.direction == "exact":
             good = abs(gap) <= 1e-9

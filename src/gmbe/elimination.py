@@ -548,8 +548,7 @@ class TreeEvaluator:
         The distribution is the product over mini-buckets of the
         conditionals (|psi|/msg)^(1/w); its marginal over a mini-bucket
         scope is that conditional times the parent marginal, walked
-        root-downward.  Slices whose normalizer vanished carry zero
-        parent mass, so their conditional is set to zero outright.
+        root-downward.
         """
         if self.mode != "wsum":
             raise ValueError("auxiliary distribution needs power-sum mode")
@@ -562,27 +561,43 @@ class TreeEvaluator:
                 need.append(j)
                 j = parent[j]
         for k in sorted(set(need), reverse=True):
-            _, _, kshape, pdrop, _ = self._plan[k]
-            msg = self.msg[k]
-            p = parent[k]
-            if p is None and msg == -np.inf:
-                raise NumericalUnderflow(
-                    f"zero normalizer at root mini-bucket {k}"
-                )
-            mexp = msg.reshape(kshape)
-            if mexp.min() == -np.inf:
-                with np.errstate(invalid="ignore"):
-                    rho = np.exp((self.psi[k] - mexp) / self.weights[k])
-                rho = np.where(mexp == -np.inf, 0.0, rho)
-            else:
-                rho = np.exp((self.psi[k] - mexp) / self.weights[k])
-            if p is not None:
-                pm = memo[p]
-                if pdrop:
-                    pm = np.add.reduce(pm, axis=pdrop)
-                rho = rho * pm.reshape(kshape)
-            memo[k] = rho
+            memo[k] = self._joint(k, self.psi[k], memo)
         return memo
+
+    def _joint(self, k, logt, memo):
+        """exp((logt - msg_k) / w_k) times bucket k's parent marginal.
+
+        ``logt`` is a log table over bucket k's scope, and the parent's
+        joint must be in ``memo``.  Slices whose normalizer vanished
+        carry zero parent mass, so they are set to zero outright.
+        """
+        _, _, kshape, pdrop, _ = self._plan[k]
+        msg = self.msg[k]
+        p = self._parent[k]
+        if p is None and msg == -np.inf:
+            raise NumericalUnderflow(
+                f"zero normalizer at root mini-bucket {k}"
+            )
+        mexp = msg.reshape(kshape)
+        if mexp.min() == -np.inf:
+            with np.errstate(invalid="ignore"):
+                rho = np.exp((logt - mexp) / self.weights[k])
+            rho = np.where(mexp == -np.inf, 0.0, rho)
+        else:
+            rho = np.exp((logt - mexp) / self.weights[k])
+        if p is not None:
+            pm = memo[p]
+            if pdrop:
+                pm = np.add.reduce(pm, axis=pdrop)
+            rho = rho * pm.reshape(kshape)
+        return rho
+
+    def _over_factor(self, fid, table):
+        """A table over fid's bucket, summed down to fid's axis order."""
+        drop, perm = self._fplan[fid]
+        if drop:
+            table = np.add.reduce(table, axis=drop)
+        return table.transpose(perm)
 
     def factor_marginal(self, fid, memo=None):
         """Marginal of the auxiliary distribution over a factor's scope.
@@ -591,11 +606,34 @@ class TreeEvaluator:
         those of the mini-bucket that consumed the factor.
         """
         k = self.tree.factor_bucket[fid]
-        m = self.beliefs((k,), memo)[k]
-        drop, perm = self._fplan[fid]
-        if drop:
-            m = np.add.reduce(m, axis=drop)
-        return m.transpose(perm)
+        return self._over_factor(fid, self.beliefs((k,), memo)[k])
+
+    def factor_cavity(self, fid, shift, memo=None):
+        """exp(shift) times the bound's derivative in |f|, f = factors[fid].
+
+        The derivative of the bound in a table entry is the auxiliary
+        marginal over that entry divided by the entry (Liu & Ihler,
+        ICML 2011): the bucket's joint with f's own table taken out.
+        It is built without dividing, from the other members plus
+        (1 - w) times f's log table, which is left out at w = 1.  Zero
+        entries then get a finite derivative for w in (0, 1]; under a
+        weight above 1 or below 0 they can give inf or nan.  Returned
+        in the factor's own axis order.
+        """
+        k = self.tree.factor_bucket[fid]
+        p = self._parent[k]
+        memo = self.beliefs(() if p is None else (p,), memo)
+        w = self.weights[k]
+        tables = (self._aligned, self.msg)
+        logt = np.full(self.psi[k].shape, w * shift)
+        for src, i, shape in self._plan[k][0]:
+            t = tables[src][i].reshape(shape)
+            if src == 0 and i == fid:
+                if w == 1.0:
+                    continue
+                t = (1.0 - w) * t
+            logt = logt + t
+        return self._over_factor(fid, self._joint(k, logt, memo))
 
     def weight_gradient(self, bucket_ids):
         """Derivative of the log bound w.r.t. log w_k, per mini-bucket k.

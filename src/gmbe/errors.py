@@ -70,17 +70,6 @@ class NumericalUnderflow(GmbeError):
     """A conditional normalizer vanished; marginals are undefined."""
 
 
-class ZeroFactorEntry(GmbeError):
-    """Transform gradients divide by factor entries; zeros are not allowed."""
-
-    def __init__(self, factor_id, index):
-        self.factor_id = factor_id
-        self.index = tuple(index)
-        super().__init__(
-            f"factor {factor_id} entry {self.index} is (numerically) zero"
-        )
-
-
 class SingularGaugeStep(GmbeError):
     """An edge matrix is singular or too ill-conditioned to invert."""
 

@@ -27,16 +27,6 @@ class SignedLog(NamedTuple):
     sign: float
     logabs: float
 
-    @classmethod
-    def from_linear(cls, value):
-        v = float(value)
-        if v == 0.0:
-            return cls(0.0, -np.inf)
-        return cls(float(np.sign(v)), float(np.log(abs(v))))
-
-    def linear(self):
-        return self.sign * np.exp(self.logabs)
-
 
 def _normalize_pair(sign, logmag):
     """Enforce sign == 0 <=> logmag == -inf on an array pair."""
@@ -114,9 +104,6 @@ class Factor:
         """Dense linear-domain values; only safe for moderate magnitudes."""
         return self.sign * np.exp(self.logmag)
 
-    def is_nonnegative(self):
-        return bool((self.sign >= 0.0).all())
-
     def axis_of(self, var):
         return self.scope.index(var)
 
@@ -133,19 +120,6 @@ class Factor:
             self.cards,
             self.sign.copy(),
             self.logmag + logscale.reshape(shape),
-        )
-
-    def permuted(self, new_scope):
-        """Reorder axes to a permutation of the current scope."""
-        new_scope = tuple(new_scope)
-        if sorted(new_scope) != sorted(self.scope):
-            raise ValueError("new scope is not a permutation of the old one")
-        perm = [self.scope.index(v) for v in new_scope]
-        return Factor(
-            new_scope,
-            tuple(self.cards[p] for p in perm),
-            np.transpose(self.sign, perm),
-            np.transpose(self.logmag, perm),
         )
 
 

@@ -66,8 +66,7 @@ class _Tokens:
 def parse_uai(text):
     """Parse a UAI MARKOV network into a FactorGraph.
 
-    Zero table entries are allowed (they matter to the gradient
-    pre-screen downstream); negative ones are malformed.
+    Zero table entries are allowed; negative ones are malformed.
     """
     toks = _Tokens(text)
     lineno, kind = toks.next("preamble MARKOV")

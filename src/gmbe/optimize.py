@@ -4,10 +4,11 @@ Three families of moves, all preserving the true partition function:
 
 * edge-transform steps: the bound's derivative with respect to the
   matrix on a variable's free edge (its partner tied as the
-  transpose-inverse) has a closed form in the auxiliary distribution
-  and the two adjacent tables; the step candidate is I minus a multiple
-  of it, and both factors absorb their matrices immediately so the
-  working transform resets to the identity,
+  transpose-inverse) contracts each adjacent factor's cavity, the
+  bound's derivative in that table, with the table itself, so zero
+  entries need no special case; the step candidate is I minus a
+  multiple of it, and both factors absorb their matrices immediately
+  so the working transform resets to the identity,
 * weight steps: descent on the power-sum weights of split variables
   along the closed-form gradient (the conditional entropies of the
   auxiliary distribution), updated multiplicatively and renormalized,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import BoundResult, TreeEvaluator
-from .errors import SingularGaugeStep, ZeroFactorEntry
+from .errors import SingularGaugeStep
 from .gauges import gauge_pair, gauge_transform_factor
 
 STEP_GAUGE = 0.01
@@ -41,7 +42,6 @@ BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 20
 COND_LIMIT = 1e8
 WEIGHT_FLOOR = 1e-3
-ZERO_ENTRY_LOG = -300.0
 
 # The optimizer methods: each names the move families its descent
 # sweeps, in the order optimize_bound runs them.
@@ -125,44 +125,37 @@ def _accept(state, apply, mu, tries):
     return False
 
 
-def _screen_zero_entries(state, fid):
-    f = state.evaluator.factors[fid]
-    low = f.logmag < ZERO_ENTRY_LOG
-    if low.any():
-        idx = tuple(int(i) for i in np.argwhere(low)[0])
-        raise ZeroFactorEntry(fid, idx)
+def _cavity_term(ev, fid, v, memo):
+    """sum_rest dbound/df(rest, a) * f(rest, b) as an (a, b) matrix.
 
-
-def _edge_term(q, f, axis):
-    """sum_rest q(rest, a) * f(rest, b) / f(rest, a) as an (a, b) matrix."""
-    d = f.cards[axis]
-    qm = np.moveaxis(q, axis, -1).reshape(-1, d)
-    s = np.moveaxis(f.sign, axis, -1).reshape(-1, d)
-    l = np.moveaxis(f.logmag, axis, -1).reshape(-1, d)
-    ratio = (s[:, :, None] * s[:, None, :]) * np.exp(
-        l[:, None, :] - l[:, :, None]
-    )
-    return np.einsum("ra,rab->ab", qm, ratio)
+    The derivative comes from the factor's cavity, scaled by the same
+    peak that shifts the table, so the two scales cancel in the product.
+    """
+    f = ev.factors[fid]
+    peak = float(np.max(f.logmag))
+    cav = f.sign * ev.factor_cavity(fid, peak, memo)
+    ax = f.axis_of(v)
+    d = f.cards[ax]
+    vals = f.sign * np.exp(f.logmag - peak)
+    return (np.moveaxis(cav, ax, -1).reshape(-1, d).T
+            @ np.moveaxis(vals, ax, -1).reshape(-1, d))
 
 
 def gauge_gradient(state, v):
     """Derivative of the log bound w.r.t. the matrix on v's free edge.
 
     The free edge joins the lower-id adjacent factor; the higher-id
-    partner is tied as the transpose-inverse.  Entries of either factor
-    with log-magnitude below the screen threshold raise, since the
-    expression divides by table values.
+    partner is tied as the transpose-inverse.  Each factor's term is
+    its cavity contracted with its table, so no entry is divided by and
+    zero entries are allowed.  On a lower tree, a zero entry under a
+    weight above 1 or below 0 can make entries inf or nan.
     """
     a, b = _edge_pair(state, v)
-    _screen_zero_entries(state, a)
-    _screen_zero_entries(state, b)
-    fa, fb = state.evaluator.factors[a], state.evaluator.factors[b]
     memo = {}
-    qa = state.evaluator.factor_marginal(a, memo)
-    qb = state.evaluator.factor_marginal(b, memo)
-    ta = _edge_term(qa, fa, fa.axis_of(v))
-    tb = _edge_term(qb, fb, fb.axis_of(v))
-    return ta - tb.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        ta = _cavity_term(state.evaluator, a, v, memo)
+        tb = _cavity_term(state.evaluator, b, v, memo)
+        return ta - tb.T
 
 
 def _edge_pair(state, v):
@@ -179,9 +172,12 @@ def gauge_step(state, v):
     its partner is the transpose-inverse, both adjacent factors absorb
     their matrix, and the result is kept only if the bound did not get
     worse.  Backtracking halves mu; an ill-conditioned candidate
-    surviving all halvings raises.
+    surviving all halvings raises.  A gradient that is not finite
+    declines the move: nothing is set and False is returned.
     """
     grad = gauge_gradient(state, v)
+    if not np.isfinite(grad).all():
+        return False
     a, b = _edge_pair(state, v)
     ev = state.evaluator
     fa, fb = ev.factors[a], ev.factors[b]

@@ -10,7 +10,14 @@ import json
 
 import pytest
 
-from gmbe import FactorGraph, brute_z, emit_uai, gen_ising_grid, parse_uai
+from gmbe import (
+    FactorGraph,
+    brute_z,
+    emit_uai,
+    gen_ising_grid,
+    parse_uai,
+    to_forney,
+)
 from gmbe.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -20,6 +27,8 @@ from gmbe.cli import (
     main,
 )
 from gmbe.elimination import BoundResult
+
+from conftest import random_pairwise_graph
 
 
 def run_cli(argv, capsys):
@@ -233,8 +242,10 @@ class TestVerify:
         import gmbe.cli as cli_mod
         real = cli_mod._compute_bound
 
-        def corrupted(g, fg, method, ibound, iters, lower=False):
-            res = real(g, fg, method, ibound, iters, lower=lower)
+        def corrupted(g, fg, method, ibound, iters, lower=False,
+                      order=None):
+            res = real(g, fg, method, ibound, iters, lower=lower,
+                       order=order)
             if method == "wmbe":
                 return BoundResult(res.method, res.direction,
                                    res.log_bound - 5.0, res.trace,
@@ -247,6 +258,39 @@ class TestVerify:
              "--methods", "be,wmbe"], capsys)
         assert code == EXIT_VERIFY
         assert "VIOLATION" in out
+
+    def test_orders_the_model_once(self, tmp_path, capsys, monkeypatch):
+        path = gen_small_grid(tmp_path, capsys)
+        import gmbe.cli as cli_mod
+        calls = []
+        real = cli_mod.default_order
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(cli_mod, "default_order", counted)
+        code, out, _ = run_cli(
+            ["verify", str(path), "--ibound", "3", "--iters", "2",
+             "--methods", "mbe,wmbe,wmbe-theta,wmbe-g,wmbe-lower"], capsys)
+        assert code == EXIT_OK
+        assert out.count("[ok]") == 5
+        assert len(calls) == 1
+
+    def test_gauges_on_model_with_zero_entries(self, tmp_path, capsys):
+        # not a grid, so the equality factors of to_forney, which hold
+        # zeros, carry the gauge steps
+        g = random_pairwise_graph(8, 12, 0)
+        fg, copies = to_forney(g)
+        assert copies
+        path = tmp_path / "pairwise.uai"
+        path.write_text(emit_uai(g))
+        code, out, _ = run_cli(
+            ["verify", str(path), "--iters", "5",
+             "--ibound", str(max(f.arity for f in fg.factors)),
+             "--methods", "wmbe-g,wmbe-wg,wmbe-theta"], capsys)
+        assert code == EXIT_OK
+        assert out.count("[ok]") == 3
 
     def test_unknown_method_is_usage_error(self, tmp_path, capsys):
         path = gen_small_grid(tmp_path, capsys)

@@ -112,7 +112,7 @@ class TestGaugeTransformFactor:
         out = gauge_transform_factor(f, {1: B, 3: B, 5: A})
         np.testing.assert_allclose(out.linear(), G_C, atol=0.5)
         assert out.linear()[0, 1, 0] == pytest.approx(-1608, abs=0.5)
-        assert not out.is_nonnegative()
+        assert not (out.sign >= 0).all()
 
     def test_linearity(self):
         rng = np.random.default_rng(5)

@@ -49,13 +49,13 @@ class TestFactorGraph:
 class TestValidateForney:
     def test_valid_cycle(self):
         rng = np.random.default_rng(1)
-        factors = tuple(
-            Factor.from_linear((i, (i + 1) % 3), (2, 2),
-                               rng.uniform(0.5, 2, (2, 2))).permuted(
-                tuple(sorted((i, (i + 1) % 3))))
-            for i in range(3)
-        )
-        g = FactorGraph((2, 2, 2), factors)
+        factors = []
+        for i in range(3):
+            scope, vals = (i, (i + 1) % 3), rng.uniform(0.5, 2, (2, 2))
+            if scope[0] > scope[1]:
+                scope, vals = scope[::-1], np.transpose(vals)
+            factors.append(Factor.from_linear(scope, (2, 2), vals))
+        g = FactorGraph((2, 2, 2), tuple(factors))
         validate_forney(g)
 
     def test_all_violations_reported(self):

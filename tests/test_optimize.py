@@ -18,12 +18,14 @@ from gmbe import (
     default_order,
     gauge_transform_factor,
     gen_forney_3regular,
+    gen_ising_grid,
     gen_symmetric_forney,
+    ising_to_forney,
     run_be,
     run_wmbe,
 )
 from gmbe import optimize
-from gmbe.errors import SingularGaugeStep, ZeroFactorEntry
+from gmbe.errors import SingularGaugeStep
 from gmbe.optimize import (
     OptimizerConfig,
     gauge_gradient,
@@ -93,40 +95,52 @@ class TestConfig:
 
 
 class TestGaugeGradient:
+    # warnings as errors: the zero entries of to_forney's equality
+    # factors must neither be divided by nor raise a numpy warning
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("direction", ["upper", "lower"])
     def test_matches_finite_differences(self, direction):
         g = fixture_model(6, seed=1)
-        tree = fixture_tree(g, direction)
-        state = init_state(g, tree)
-        order = default_order(g)
-        for v in (0, 3, 7):
-            a, b = [fid for fid, f in enumerate(g.factors) if v in f.scope]
-            fa, fb = g.factors[a], g.factors[b]
+        cases = [(g, fixture_tree(g, direction), (0, 3, 7))]
+        if direction == "upper":
+            for seed in range(4):
+                g = random_forney_from_pairwise(10, 20, seed)
+                assert any(np.isneginf(f.logmag).any() for f in g.factors)
+                ibound = max(f.arity for f in g.factors)
+                cases.append((g, fixture_tree(g, ibound=ibound),
+                              range(g.num_vars)))
+        for g, tree, variables in cases:
+            state = init_state(g, tree)
+            for v in variables:
+                a, b = g.var_neighbors[v]
+                fa, fb = g.factors[a], g.factors[b]
 
-            def bound_at(mat):
-                factors = list(g.factors)
-                factors[a] = gauge_transform_factor(fa, {v: mat})
-                factors[b] = gauge_transform_factor(
-                    fb, {v: np.linalg.inv(mat.T)})
-                return TreeEvaluator(tree, factors).bound()
+                def bound_at(mat):
+                    factors = list(g.factors)
+                    factors[a] = gauge_transform_factor(fa, {v: mat})
+                    factors[b] = gauge_transform_factor(
+                        fb, {v: np.linalg.inv(mat.T)})
+                    return TreeEvaluator(tree, factors).bound()
 
-            fd = fd_gradient(bound_at, np.eye(2), h=1e-6)
-            analytic = gauge_gradient(state, v)
-            np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
+                fd = fd_gradient(bound_at, np.eye(2), h=1e-6)
+                analytic = gauge_gradient(state, v)
+                np.testing.assert_allclose(analytic, fd, rtol=1e-5,
+                                           atol=1e-7)
 
-    def test_zero_entry_screened(self):
-        g = fixture_model(6, seed=1)
-        tree = fixture_tree(g)
-        state = init_state(g, tree)
-        f0 = state.factors[0]
-        log = f0.logmag.copy()
-        log[0, 0, 0] = -400.0
-        state.evaluator.set_factors(
-            {0: Factor(f0.scope, f0.cards, f0.sign, log)})
-        with pytest.raises(ZeroFactorEntry) as err:
-            gauge_gradient(state, state.factors[0].scope[0])
-        assert err.value.factor_id == 0
-        assert err.value.index == (0, 0, 0)
+    def test_reparam_gradient_is_its_diagonal(self):
+        # the theta move is the diagonal special case of the transform
+        grid = ising_to_forney(gen_ising_grid(6, 6, 1.0, seed=0))
+        cases = [(g, ib, d) for g, ib in ((grid, 4), (fixture_model(), 2))
+                 for d in ("upper", "lower")]
+        for seed in range(4):
+            g = random_forney_from_pairwise(10, 20, seed)
+            cases.append((g, max(f.arity for f in g.factors), "upper"))
+        for g, ibound, direction in cases:
+            state = init_state(g, fixture_tree(g, direction, ibound))
+            for v in range(g.num_vars):
+                np.testing.assert_allclose(
+                    reparam_gradient(state, v),
+                    np.diag(gauge_gradient(state, v)), rtol=0, atol=1e-12)
 
     def test_needs_degree_two(self):
         g = FactorGraph(
@@ -203,6 +217,25 @@ class TestGaugeStep:
             assert state.bound == before
             assert all(f1 is f2 for f1, f2
                        in zip(factors_before, state.factors))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_gradient_declines(self):
+        # on a lower tree, a zero entry of an equality factor under a
+        # weight above 1 has an infinite cavity
+        g = random_forney_from_pairwise(10, 20, 0)
+        tree = fixture_tree(g, "lower", max(f.arity for f in g.factors))
+        state = init_state(g, tree)
+        bad = [v for v in range(g.num_vars)
+               if not np.isfinite(gauge_gradient(state, v)).all()]
+        assert bad
+        before = state.bound
+        factors_before = list(state.evaluator.factors)
+        for v in bad:
+            assert gauge_step(state, v) is False
+        assert state.bound == before
+        assert state.evaluator.bound() == before
+        assert all(f1 is f2 for f1, f2
+                   in zip(factors_before, state.evaluator.factors))
 
     def test_singular_candidate_raises(self, monkeypatch):
         # condition limit of exactly 1 rejects every non-orthogonal
