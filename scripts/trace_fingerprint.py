@@ -6,11 +6,14 @@ iterations in both directions over 3-regular, flip-symmetric, 6x6 grid
 and ``to_forney`` models.  For each model it also takes its
 ``default_order``, the tables of the model under ``random_valid_gauges``
 at scale 0.5 and the exact ``run_be`` value of the plain and of the
-gauged model, and it adds the orders of 12x12 and 16x16 grids, on
-which no bound is run.  It prints the SHA-1 of the orders and of the
-``float.hex`` values of all results.  Warnings are raised as errors; a
-run that raises records the exception's class name instead of a trace.
-Run it at two commits to check that a refactor leaves every order,
+gauged model, and per direction the structure of its mini-bucket tree:
+every bucket's ``(var, copy, scope, factor_ids, children, parent)``,
+then ``factor_bucket``, ``factor_incidence`` and ``initial_weights``.
+It adds the orders of 12x12 and 16x16 grids, on which no bound is run.
+It prints the SHA-1 of the orders, the trees and the ``float.hex``
+values of all results.  Warnings are raised as errors; a run that
+raises records the exception's class name instead of a trace.  Run it
+at two commits to check that a refactor leaves every order, tree,
 bound, gauged table and exact value bitwise equal:
 
     PYTHONPATH=src python3 scripts/trace_fingerprint.py
@@ -62,8 +65,20 @@ def _tables(g):
             for x in (*f.sign.ravel(), *f.logmag.ravel())]
 
 
+def _tree(tree):
+    """The tree's structure and starting weights, as one line."""
+    buckets = [(b.var, b.copy, b.scope, b.factor_ids, b.children, b.parent)
+               for b in tree.buckets]
+    weights = [float(w).hex() for w in tree.initial_weights]
+    return repr((buckets, tree.factor_bucket, tree.factor_incidence,
+                 weights))
+
+
 def results():
-    """(label, list of floats, an order or an exception name) per run."""
+    """(label, list of floats or a line of text) per result.
+
+    The text is an order, a tree or an exception name.
+    """
     for seed, (label, g, ibound) in enumerate(models()):
         order = default_order(g)
         yield f"{label} order", " ".join(map(str, order))
@@ -77,6 +92,7 @@ def results():
             yield f"{label} {name} run_be", out
         for direction in ("upper", "lower"):
             tree = build_minibucket_tree(g, order, ibound, direction)
+            yield f"{label} {direction} tree", _tree(tree)
             runs = [("wmbe", lambda: run_wmbe(g, tree))]
             if direction == "upper":
                 runs.append(("mbe", lambda: run_mbe(g, tree)))

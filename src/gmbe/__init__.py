@@ -21,7 +21,6 @@ from .gauges import (
 )
 from .elimination import (
     BoundResult,
-    EliminationOrder,
     MiniBucketTree,
     build_minibucket_tree,
     default_order,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -46,14 +47,12 @@ from .factors import Factor, product_over, signed_sum_axes, SignedLog
 BE_ENTRY_GUARD = 2 ** 24
 
 
-class EliminationOrder(tuple):
-    """A permutation of all variable ids, first-eliminated first."""
-
-    def __new__(cls, ids):
-        ids = tuple(int(v) for v in ids)
-        if len(set(ids)) != len(ids):
-            raise ValueError("elimination order repeats a variable")
-        return super().__new__(cls, ids)
+def _checked_order(order, num_vars):
+    """``order`` as a tuple, if it eliminates every variable exactly once."""
+    order = tuple(int(v) for v in order)
+    if sorted(order) != list(range(num_vars)):
+        raise ValueError("order must cover every variable exactly once")
+    return order
 
 
 def _lse_axis(a, axis, w=1.0):
@@ -169,11 +168,10 @@ def default_order(g):
             fill[a] = _fill(adj, a)
         for v in changed | nbrs:
             heapq.heappush(heap, (fill[v], v))
-    minfill = EliminationOrder(order)
-    identity = EliminationOrder(range(g.num_vars))
+    identity = tuple(range(g.num_vars))
     if induced_width(g, identity) < width:
         return identity
-    return minfill
+    return tuple(order)
 
 
 def run_be(g, order, entry_guard=BE_ENTRY_GUARD):
@@ -182,9 +180,7 @@ def run_be(g, order, entry_guard=BE_ENTRY_GUARD):
     Returns a SignedLog so models whose transformed tables carry
     negative entries still evaluate exactly (signed log-domain sums).
     """
-    order = EliminationOrder(order)
-    if set(order) != set(range(g.num_vars)):
-        raise ValueError("order must cover every variable exactly once")
+    order = _checked_order(order, g.num_vars)
     pos = {v: k for k, v in enumerate(order)}
     buckets = [[] for _ in order]
     for f in g.factors:
@@ -230,7 +226,6 @@ class MiniBucket:
     factor_ids: tuple     # original factors first consumed here
     children: tuple       # mini-bucket indices whose messages feed here
     parent: int | None
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,7 @@ class MiniBucketTree:
     """
 
     cards: tuple
-    order: EliminationOrder
+    order: tuple
     ibound: int
     direction: str
     buckets: tuple
@@ -254,7 +249,7 @@ class MiniBucketTree:
     factor_incidence: tuple   # fid -> tuple of mini-bucket indices
     initial_weights: tuple
 
-    @property
+    @cached_property
     def splits(self):
         """Original variable id -> indices of the mini-buckets that copy it."""
         reg = {}
@@ -285,98 +280,88 @@ def build_minibucket_tree(g, order, ibound, direction="upper"):
     clusters ever mention a variable, so at most two mini-buckets arise
     per variable.  Starting weights are uniform (upper) or the reverse
     pattern from ``lower_weights`` (lower).
+
+    A cluster is an original factor or a mini-bucket's message, held as
+    ``(creation index, scope, factor id, child bucket)`` with exactly
+    one of the last two None.  Factors are created first, in id order,
+    then messages in bucket order.  Each variable lists the clusters
+    that mention it; a cluster is live until a mini-bucket consumes it.
     """
     if direction not in ("upper", "lower"):
         raise ValueError(f"unknown direction {direction!r}")
-    order = EliminationOrder(order)
-    if set(order) != set(range(g.num_vars)):
-        raise ValueError("order must cover every variable exactly once")
+    order = _checked_order(order, g.num_vars)
     ibound = int(ibound)
     capacity = ibound + 1
     for fid, f in enumerate(g.factors):
         if f.arity > capacity:
             raise IboundTooSmall(fid, f.arity, ibound)
 
-    # clusters: (scope frozenset, kind, id, ancestry factor ids, creation idx)
-    clusters = []
+    mention = [[] for _ in range(g.num_vars)]
     for fid, f in enumerate(g.factors):
-        clusters.append({
-            "scope": frozenset(f.scope), "kind": "factor", "id": fid,
-            "anc": frozenset((fid,)), "created": fid,
-        })
-    created = len(clusters)
-    buckets = []
-    parents = {}
+        cluster = (fid, f.scope, fid, None)
+        for u in f.scope:
+            mention[u].append(cluster)
+    consumed = set()
+    rows, parent, weights = [], [], []
     factor_bucket = [None] * g.num_factors
-    incidence = [dict() for _ in range(g.num_factors)]
-    fscopes = [set(f.scope) for f in g.factors]
-
     for v in order:
-        group = [c for c in clusters if v in c["scope"]]
+        group = [c for c in mention[v] if c[0] not in consumed]
         if not group:
             raise ValueError(f"variable {v} appears in no factor")
-        group.sort(key=lambda c: (-len(c["scope"]), c["created"]))
+        group.sort(key=lambda c: (-len(c[1]), c[0]))
         bins = []
         for c in group:
-            for b in bins:
-                if len(b["scope"] | c["scope"]) <= capacity:
-                    b["scope"] |= c["scope"]
-                    b["members"].append(c)
+            for scope, members in bins:
+                if len(scope.union(c[1])) <= capacity:
+                    scope.update(c[1])
+                    members.append(c)
                     break
             else:
-                bins.append({"scope": set(c["scope"]), "members": [c]})
-        r_v = len(bins)
+                bins.append((set(c[1]), [c]))
         if direction == "upper":
-            ws = [1.0 / r_v] * r_v
+            weights += [1.0 / len(bins)] * len(bins)
         else:
-            ws = lower_weights(r_v)
-        for r, b in enumerate(bins):
-            idx = len(buckets)
-            scope = tuple(sorted(b["scope"]))
-            fids = tuple(c["id"] for c in b["members"] if c["kind"] == "factor")
-            children = tuple(c["id"] for c in b["members"] if c["kind"] == "msg")
-            anc = frozenset().union(*(c["anc"] for c in b["members"]))
+            weights += lower_weights(len(bins))
+        for r, (scope, members) in enumerate(bins):
+            k = len(rows)
+            scope = tuple(sorted(scope))
+            fids = tuple(c[2] for c in members if c[3] is None)
+            children = tuple(c[3] for c in members if c[3] is not None)
             for fid in fids:
-                factor_bucket[fid] = idx
-            for fid in anc:
-                if v in fscopes[fid]:
-                    incidence[fid][v] = idx
+                factor_bucket[fid] = k
             for ch in children:
-                parents[ch] = idx
-            buckets.append({
-                "var": v, "copy": r, "scope": scope, "fids": fids,
-                "children": children, "weight": ws[r],
-            })
-            rest = frozenset(u for u in scope if u != v)
-            for c in b["members"]:
-                clusters.remove(c)
+                parent[ch] = k
+            consumed.update(c[0] for c in members)
+            rows.append((v, r, scope, fids, children))
+            parent.append(None)
+            rest = tuple(u for u in scope if u != v)
             if rest:
-                clusters.append({
-                    "scope": rest, "kind": "msg", "id": idx,
-                    "anc": anc, "created": created,
-                })
-                created += 1
+                message = (g.num_factors + k, rest, None, k)
+                for u in rest:
+                    mention[u].append(message)
 
-    final = tuple(
-        MiniBucket(i, b["var"], b["copy"], b["scope"], b["fids"],
-                   b["children"], parents.get(i), b["weight"])
-        for i, b in enumerate(buckets)
-    )
-    weights = tuple(b["weight"] for b in buckets)
-    fact_inc = tuple(
-        tuple(incidence[fid][u] for u in g.factors[fid].scope)
-        for fid in range(g.num_factors)
-    )
-    return MiniBucketTree(g.cards, order, ibound, direction, final,
-                          tuple(factor_bucket), fact_inc, weights)
+    buckets = tuple(MiniBucket(k, *row, parent[k])
+                    for k, row in enumerate(rows))
+    # a factor's chain of buckets up to its root sums out each variable
+    # of its scope exactly once
+    incidence = []
+    for fid, f in enumerate(g.factors):
+        at = {}
+        k = factor_bucket[fid]
+        while len(at) < f.arity:
+            if buckets[k].var in f.scope:
+                at[buckets[k].var] = k
+            k = parent[k]
+        incidence.append(tuple(at[u] for u in f.scope))
+    return MiniBucketTree(g.cards, order, ibound, direction, buckets,
+                          tuple(factor_bucket), tuple(incidence),
+                          tuple(weights))
 
 
 def check_weights(tree, weights, direction):
     """Weights must sum to 1 per variable and match the bound direction."""
-    groups = {}
-    for b in tree.buckets:
-        groups.setdefault(b.var, []).append(weights[b.index])
-    for v, ws in groups.items():
+    for v, ks in tree.splits.items():
+        ws = [weights[k] for k in ks]
         if any(w == 0.0 for w in ws):
             raise ZeroWeight(f"zero weight at variable {v}")
         if abs(sum(ws) - 1.0) > 1e-9:

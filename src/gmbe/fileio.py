@@ -82,7 +82,7 @@ def parse_uai(text):
     num_factors = toks.next_int("factor count", minimum=0)
     scopes = []
     for j in range(num_factors):
-        arity = toks.next_int(f"arity of factor {j}", minimum=0)
+        arity = toks.next_int(f"arity of factor {j}", minimum=1)
         scope = []
         for _ in range(arity):
             lineno, tok = toks.next(f"variable index in factor {j}")
@@ -102,6 +102,11 @@ def parse_uai(text):
                 )
             scope.append(v)
         scopes.append(tuple(scope))
+    used = {v for scope in scopes for v in scope}
+    for v in range(num_vars):
+        if v not in used:
+            raise ParseError(toks._last_line, f"variable {v} in no factor",
+                             "every variable in some factor")
     factors = []
     for j, scope in enumerate(scopes):
         want = int(np.prod([cards[v] for v in scope], dtype=np.int64))

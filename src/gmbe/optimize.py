@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import BoundResult, TreeEvaluator
-from .errors import SingularGaugeStep
 from .gauges import gauge_pair, gauge_transform_factor
 
 STEP_GAUGE = 0.01
@@ -57,12 +56,10 @@ METHODS = {
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Method, iteration budget and early stop for optimize_bound."""
+    """Method and iteration budget for optimize_bound."""
 
     method: str
     iterations: int = 150
-    stop_tol: float | None = None
-    stop_window: int = 10
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -171,9 +168,10 @@ def gauge_step(state, v):
     The candidate matrix is I -/+ mu * gradient (sign per direction);
     its partner is the transpose-inverse, both adjacent factors absorb
     their matrix, and the result is kept only if the bound did not get
-    worse.  Backtracking halves mu; an ill-conditioned candidate
-    surviving all halvings raises.  A gradient that is not finite
-    declines the move: nothing is set and False is returned.
+    worse.  Backtracking halves mu.  An ill-conditioned candidate is
+    declined and the next halving tried; if every try is declined or
+    worse, nothing is set and False is returned.  A gradient that is
+    not finite declines the whole move in the same way.
     """
     grad = gauge_gradient(state, v)
     if not np.isfinite(grad).all():
@@ -182,28 +180,18 @@ def gauge_step(state, v):
     ev = state.evaluator
     fa, fb = ev.factors[a], ev.factors[b]
     eye = np.eye(fa.cards[fa.axis_of(v)])
-    bad_cond = False
 
     def apply(mu):
-        nonlocal bad_cond
         cand = eye - mu * grad
         cond = np.linalg.cond(cand)
-        bad_cond = not np.isfinite(cond) or cond > COND_LIMIT
-        if bad_cond:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             return None
         cand, partner = gauge_pair(cand)
         return ev.set_factors({a: gauge_transform_factor(fa, {v: cand}),
                                b: gauge_transform_factor(fb, {v: partner})})
 
-    if _accept(state, apply, STEP_GAUGE * state._descent_sign(),
-               MAX_BACKTRACKS + 1):
-        return True
-    if bad_cond:
-        raise SingularGaugeStep(
-            f"candidate at var {v} ill-conditioned after "
-            f"{MAX_BACKTRACKS} halvings"
-        )
-    return False
+    return _accept(state, apply, STEP_GAUGE * state._descent_sign(),
+                   MAX_BACKTRACKS + 1)
 
 
 def reparam_gradient(state, v):
@@ -296,10 +284,6 @@ def optimize_bound(g, tree, config):
         if "reparam" in moves:
             reparam_step(state)
         trace.append(state.bound)
-        if config.stop_tol is not None and len(trace) > config.stop_window:
-            span = abs(trace[-1 - config.stop_window] - trace[-1])
-            if span <= config.stop_tol * max(1.0, abs(trace[-1])):
-                break
     result = BoundResult(config.method, tree.direction, state.bound,
                          tuple(trace), time.perf_counter() - t0)
     return result, state

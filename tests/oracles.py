@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gmbe.elimination import EliminationOrder, induced_width
+from gmbe.elimination import induced_width
 from gmbe.errors import GmbeError, ZeroWeight
 from gmbe.oracle import MAX_STATES, _states_or_raise
 
@@ -139,14 +139,14 @@ def greedy_min_fill(g):
                 adj[b].add(a)
         remaining.remove(best)
         order.append(best)
-    return EliminationOrder(order)
+    return tuple(order)
 
 
 def reference_min_fill_order(g):
     """``greedy_min_fill``, or the identity order if its induced width
     is strictly smaller: the rule ``default_order`` implements."""
     minfill = greedy_min_fill(g)
-    identity = EliminationOrder(range(g.num_vars))
+    identity = tuple(range(g.num_vars))
     if induced_width(g, identity) < induced_width(g, minfill):
         return identity
     return minfill

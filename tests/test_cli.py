@@ -217,6 +217,22 @@ class TestBound:
         assert code == EXIT_RUNTIME
         assert "ParseError" in err
 
+    @pytest.mark.parametrize("text", [
+        # an arity-0 factor
+        "MARKOV\n1\n2\n2\n1 0\n0\n\n2\n1 2\n\n1\n3\n",
+        # variable 1 in no factor
+        "MARKOV\n2\n2 2\n1\n1 0\n\n2\n1 2\n",
+    ], ids=["arity-0-factor", "unused-variable"])
+    def test_malformed_structure_is_runtime_error(self, text, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "bad.uai"
+        bad.write_text(text)
+        code, out, err = run_cli(["bound", str(bad)], capsys)
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ParseError")
+
 
 class TestVerify:
     def test_clean_model_passes(self, tmp_path, capsys):

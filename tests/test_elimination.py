@@ -35,7 +35,7 @@ from gmbe import (
     to_forney,
     wsum,
 )
-from gmbe.elimination import EliminationOrder, lower_weights
+from gmbe.elimination import lower_weights
 from gmbe.errors import (
     IboundTooSmall,
     NumericalUnderflow,
@@ -131,8 +131,11 @@ class TestWsum:
 
 class TestOrders:
     def test_duplicate_variable_rejected(self):
+        g = chain_graph(3)
         with pytest.raises(ValueError):
-            EliminationOrder((0, 1, 1))
+            run_be(g, (0, 1, 1))
+        with pytest.raises(ValueError):
+            build_minibucket_tree(g, (0, 1, 1), 2)
 
     def test_chain_width_one(self):
         g = chain_graph(8)
@@ -153,7 +156,7 @@ class TestOrders:
             g = random_pairwise_graph(9, 16, seed)
             order = default_order(g)
             assert induced_width(g, order) <= induced_width(
-                g, EliminationOrder(range(9)))
+                g, tuple(range(9)))
 
 
 def disjoint_union(*graphs):
@@ -208,7 +211,7 @@ class TestIncrementalMinFill:
 
     def test_identity_guard_wins(self):
         g = gen_ising_grid(7, 7, 1.0, seed=0)
-        identity = EliminationOrder(range(g.num_vars))
+        identity = tuple(range(g.num_vars))
         assert induced_width(g, identity) < induced_width(
             g, greedy_min_fill(g))
         assert default_order(g) == identity == reference_min_fill_order(g)

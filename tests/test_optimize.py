@@ -25,7 +25,6 @@ from gmbe import (
     run_wmbe,
 )
 from gmbe import optimize
-from gmbe.errors import SingularGaugeStep
 from gmbe.optimize import (
     OptimizerConfig,
     gauge_gradient,
@@ -237,15 +236,20 @@ class TestGaugeStep:
         assert all(f1 is f2 for f1, f2
                    in zip(factors_before, state.evaluator.factors))
 
-    def test_singular_candidate_raises(self, monkeypatch):
-        # condition limit of exactly 1 rejects every non-orthogonal
-        # candidate, so the halvings run out with bad_cond still set
+    def test_ill_conditioned_candidate_declines(self, monkeypatch):
+        # a condition limit of exactly 1 declines every non-orthogonal
+        # candidate, so every halving is declined
         monkeypatch.setattr(optimize, "COND_LIMIT", 1.0)
         monkeypatch.setattr(optimize, "MAX_BACKTRACKS", 2)
         g = fixture_model()
         state = init_state(g, fixture_tree(g))
-        with pytest.raises(SingularGaugeStep):
-            gauge_step(state, 0)
+        ev = state.evaluator
+        before = state.bound
+        factors_before = list(ev.factors)
+        assert gauge_step(state, 0) is False
+        assert state.bound == before
+        assert ev.bound() == before
+        assert all(f1 is f2 for f1, f2 in zip(factors_before, ev.factors))
 
 
 class TestWeightGradient:
@@ -410,18 +414,6 @@ class TestOptimizeBound:
             got = run_be(FactorGraph(g.cards, tuple(state.factors)), order)
             assert got.sign == 1.0
             assert got.logabs == pytest.approx(z0, abs=1e-9)
-
-    def test_stop_tol_exits_early(self):
-        g = fixture_model()
-        tree = fixture_tree(g)
-        loose = OptimizerConfig.for_method("wmbe-g", iterations=100,
-                                           stop_tol=1e-2, stop_window=3)
-        res_loose, _ = optimize_bound(g, tree, loose)
-        assert len(res_loose.trace) < 20
-        tight = OptimizerConfig.for_method("wmbe-g", iterations=100,
-                                           stop_tol=1e-3, stop_window=3)
-        res_tight, _ = optimize_bound(g, tree, tight)
-        assert len(res_loose.trace) < len(res_tight.trace) <= 101
 
     def test_symmetric_model_transforms_help_where_rescaling_cannot(self):
         # with flip-symmetric tables the rescaling gradient vanishes

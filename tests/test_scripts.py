@@ -1,0 +1,41 @@
+"""Every script under scripts/ runs to completion on a small input.
+
+Each runs in a subprocess with ``PYTHONPATH=src``, so an API change
+that breaks a script fails here and not at the script's next use.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+# (script and arguments, a line its output must hold)
+SCRIPTS = [
+    (["worked_example.py"], r"log Z before: 36\.162118486485"),
+    (["optimize_trace.py", "--rows", "4", "--cols", "4", "--iters", "2"],
+     r"exact log Z +\d+\.\d+"),
+    (["grid_experiment.py", "--rows", "4", "--cols", "4", "--trials", "1",
+      "--iters", "2", "--t-range", "0.5:0.5:0.5", "-o", "{tmp}/sweep.csv"],
+     r"wrote .*sweep\.csv \(7 rows\)"),
+    (["layer_times.py", "--sizes", "6", "--repeats", "3"],
+     r"6x6 +build_minibucket_tree +\d+\.\d+ ms"),
+    (["trace_fingerprint.py"], r"344 results sha1 [0-9a-f]{40}"),
+]
+
+
+@pytest.mark.parametrize("args,line", SCRIPTS,
+                         ids=[args[0] for args, _ in SCRIPTS])
+def test_script_runs(args, line, tmp_path):
+    script, *rest = (a.format(tmp=tmp_path) for a in args)
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *rest],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert any(re.fullmatch(line, out.strip())
+               for out in proc.stdout.splitlines()), proc.stdout
