@@ -13,8 +13,8 @@ least 3):
   a random matrix on each of its variables;
 - one ``gauge_gradient`` call, the mean over every variable;
 - one sweep of each step family: ``gauge_step`` over ``tree.order``,
-  ``weight_step`` and ``reparam_step``, each from a fresh
-  ``init_state`` built outside the timed region.
+  ``weight_step`` and ``reparam_step``, each on a fresh
+  ``TreeEvaluator`` built outside the timed region.
 
 It prints one line per layer and records the core count and the Python,
 numpy and scipy versions.  Quote it before and after a change to one
@@ -42,7 +42,6 @@ from gmbe import (
     gauge_step,
     gauge_transform_factor,
     gen_ising_grid,
-    init_state,
     ising_to_forney,
     reparam_step,
     run_be,
@@ -93,18 +92,16 @@ def time_layers(n, ibound, repeats):
         for f, mats in gauged:
             gauge_transform_factor(f, mats)
 
-    state = init_state(g, tree)
-
     def gradient_each():
         for v in range(g.num_vars):
-            gauge_gradient(state, v)
+            gauge_gradient(ev, v)
 
     def gauge_sweep(fresh):
         for v in tree.order:
             gauge_step(fresh, v)
 
-    def fresh_state():
-        return init_state(g, tree)
+    def fresh_evaluator():
+        return TreeEvaluator(tree, g.factors)
 
     layers = {
         "default_order": _median_time(lambda: default_order(g), repeats),
@@ -118,11 +115,11 @@ def time_layers(n, ibound, repeats):
                                                len(gauged)),
         "gauge_gradient": _median_time(gradient_each, repeats, g.num_vars),
         "gauge_step sweep": _median_time(gauge_sweep, repeats,
-                                         setup=fresh_state),
+                                         setup=fresh_evaluator),
         "weight_step sweep": _median_time(weight_step, repeats,
-                                          setup=fresh_state),
+                                          setup=fresh_evaluator),
         "reparam_step sweep": _median_time(reparam_step, repeats,
-                                           setup=fresh_state),
+                                           setup=fresh_evaluator),
     }
     return {"grid": f"{n}x{n}", "variables": g.num_vars,
             "factors": len(g.factors), "ibound": ibound,

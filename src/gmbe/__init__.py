@@ -22,7 +22,9 @@ from .gauges import (
 from .elimination import (
     BoundResult,
     MiniBucketTree,
+    TreeEvaluator,
     build_minibucket_tree,
+    check_weights,
     default_order,
     induced_width,
     run_be,
@@ -31,14 +33,11 @@ from .elimination import (
     wsum,
 )
 from .oracle import brute_z
-from .elimination import TreeEvaluator, check_weights
 from .fileio import ResultRow, emit_csv, emit_uai, parse_uai, read_uai_file
 from .optimize import (
     OptimizerConfig,
-    OptState,
     gauge_gradient,
     gauge_step,
-    init_state,
     optimize_bound,
     reparam_gradient,
     reparam_step,

@@ -43,6 +43,7 @@ from .errors import (
     ZeroWeight,
 )
 from .factors import Factor, product_over, signed_sum_axes, SignedLog
+from .graphs import adjacent_factors
 
 BE_ENTRY_GUARD = 2 ** 24
 
@@ -191,10 +192,6 @@ def run_be(g, order, entry_guard=BE_ENTRY_GUARD):
     cards = g.cards
     for k, v in enumerate(order):
         group = buckets[k]
-        if not group:
-            # variable in no remaining factor: free sum over its states
-            const_log += np.log(cards[v])
-            continue
         union = sorted({u for f in group for u in f.scope})
         entries = int(np.prod([cards[u] for u in union]))
         if entries > entry_guard:
@@ -296,11 +293,8 @@ def build_minibucket_tree(g, order, ibound, direction="upper"):
         if f.arity > capacity:
             raise IboundTooSmall(fid, f.arity, ibound)
 
-    mention = [[] for _ in range(g.num_vars)]
-    for fid, f in enumerate(g.factors):
-        cluster = (fid, f.scope, fid, None)
-        for u in f.scope:
-            mention[u].append(cluster)
+    clusters = [(fid, f.scope, fid, None) for fid, f in enumerate(g.factors)]
+    mention = [[clusters[fid] for fid in fids] for fids in g.var_neighbors]
     consumed = set()
     rows, parent, weights = [], [], []
     factor_bucket = [None] * g.num_factors
@@ -361,18 +355,22 @@ def build_minibucket_tree(g, order, ibound, direction="upper"):
 def check_weights(tree, weights, direction):
     """Weights must sum to 1 per variable and match the bound direction."""
     for v, ks in tree.splits.items():
-        ws = [weights[k] for k in ks]
-        if any(w == 0.0 for w in ws):
-            raise ZeroWeight(f"zero weight at variable {v}")
-        if abs(sum(ws) - 1.0) > 1e-9:
-            raise ValueError(f"weights at variable {v} sum to {sum(ws)}")
-        pos = sum(1 for w in ws if w > 0.0)
-        if direction == "upper" and pos != len(ws):
-            raise ValueError(f"upper direction needs positive weights at {v}")
-        if direction == "lower" and pos != 1:
-            raise ValueError(
-                f"lower direction needs exactly one positive weight at {v}"
-            )
+        _check_split(v, [weights[k] for k in ks], direction)
+
+
+def _check_split(v, ws, direction):
+    """Variable v's copy weights: nonzero, sum 1, the direction's signs."""
+    if any(w == 0.0 for w in ws):
+        raise ZeroWeight(f"zero weight at variable {v}")
+    if abs(sum(ws) - 1.0) > 1e-9:
+        raise ValueError(f"weights at variable {v} sum to {sum(ws)}")
+    pos = sum(1 for w in ws if w > 0.0)
+    if direction == "upper" and pos != len(ws):
+        raise ValueError(f"upper direction needs positive weights at {v}")
+    if direction == "lower" and pos != 1:
+        raise ValueError(
+            f"lower direction needs exactly one positive weight at {v}"
+        )
 
 
 class TreeEvaluator:
@@ -385,11 +383,13 @@ class TreeEvaluator:
     over their sorted scopes, which makes every alignment a cheap
     reshape of a contiguous array.
 
-    It owns the working model: ``factors`` is the current ``Factor``
-    list, which ``set_factors`` updates and ``restore`` reverts.
-    ``set_factors``/``set_weights`` recompute just the path from the
-    touched mini-buckets to their roots and return an undo token, which
-    is what makes accept/reject optimization steps cheap.
+    It owns the working model and is the optimizer's whole state:
+    ``factors`` is the current ``Factor`` list, which ``set_factors``
+    updates and ``restore`` reverts, ``weights`` the current weights,
+    and ``bound()`` the current bound.  ``set_factors``/``set_weights``
+    recompute just the path from the touched mini-buckets to their
+    roots and return an undo token, which is what makes accept/reject
+    optimization steps cheap.
     """
 
     def __init__(self, tree, factors, weights=None, mode="wsum"):
@@ -403,6 +403,7 @@ class TreeEvaluator:
         if mode == "wsum":
             check_weights(tree, self.weights, tree.direction)
         self.factors = list(factors)
+        self._neighbors = None
         self._aligned = [self._align_factor(f) for f in factors]
         # Static plan.  A bucket's scope is the union of its members'
         # scopes, so their sum always spans it and no member needs a
@@ -471,46 +472,55 @@ class TreeEvaluator:
         """Current log bound: the sum of all root constants."""
         return float(sum(float(self.msg[k]) for k in self._roots))
 
-    def _path_from(self, touched):
+    @property
+    def neighbors(self):
+        """Variable -> ascending ids of its factors, built on first use
+        (scopes never change); not a ``cached_property``, whose direct
+        ``__dict__`` write slows later attribute reads in CPython 3.11."""
+        if self._neighbors is None:
+            self._neighbors = adjacent_factors(len(self.tree.cards),
+                                               self.factors)
+        return self._neighbors
+
+    def _update(self, touched):
+        """Recompute the touched buckets and their ancestors, children
+        first; returns the old ``(psi, msg)`` of each."""
         path = set()
         for k in touched:
             while k is not None and k not in path:
                 path.add(k)
                 k = self._parent[k]
-        return sorted(path)
+        path = sorted(path)
+        undo_b = {k: (self.psi[k], self.msg[k]) for k in path}
+        for k in path:
+            self._recompute(k)
+        return undo_b
 
     def set_factors(self, updates):
         """Replace factor tables; returns an undo token."""
-        touched = set()
         undo_f = {}
         for fid, f in updates.items():
             undo_f[fid] = (self.factors[fid], self._aligned[fid])
             self.factors[fid] = f
             self._aligned[fid] = self._align_factor(f)
-            touched.add(self.tree.factor_bucket[fid])
-        path = self._path_from(touched)
-        undo_b = {k: (self.psi[k], self.msg[k]) for k in path}
-        for k in path:
-            self._recompute(k)
-        return ("f", undo_f, undo_b)
+        touched = {self.tree.factor_bucket[fid] for fid in updates}
+        return ("f", undo_f, self._update(touched))
 
     def set_weights(self, updates):
         """Set per-mini-bucket weights; returns an undo token.
 
-        Every weight is checked before any is set, so a rejected update
-        leaves the evaluator as it was.
+        Every variable the update touches must keep ``check_weights``'s
+        rule.  That is checked before any weight is set, so a rejected
+        update leaves the evaluator as it was.
         """
-        for k, w in updates.items():
-            if w == 0.0:
-                raise ZeroWeight(f"zero weight at mini-bucket {k}")
+        tree = self.tree
+        for v in dict.fromkeys(tree.buckets[k].var for k in updates):
+            _check_split(v, [updates.get(k, self.weights[k])
+                             for k in tree.splits[v]], tree.direction)
         undo_w = {k: self.weights[k] for k in updates}
         for k, w in updates.items():
             self.weights[k] = w
-        path = self._path_from(set(updates))
-        undo_b = {k: (self.psi[k], self.msg[k]) for k in path}
-        for k in path:
-            self._recompute(k)
-        return ("w", undo_w, undo_b)
+        return ("w", undo_w, self._update(updates))
 
     def restore(self, token):
         kind, undo_x, undo_b = token
@@ -560,8 +570,10 @@ class TreeEvaluator:
         msg = self.msg[k]
         p = self._parent[k]
         if p is None and msg == -np.inf:
+            b = self.tree.buckets[k]
             raise NumericalUnderflow(
-                f"zero normalizer at root mini-bucket {k}"
+                f"zero normalizer at root mini-bucket {k} "
+                f"(variable {b.var}, copy {b.copy})"
             )
         mexp = msg.reshape(kshape)
         if mexp.min() == -np.inf:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotAGrid, OddFactorCount
 from .factors import Factor, multiply_factors
-from .graphs import FactorGraph, validate_forney
+from .graphs import FactorGraph, adjacent_factors, validate_forney
 
 # State k of a spin variable encodes spin value +1 (k=0) or -1 (k=1).
 _SPIN = np.array([1.0, -1.0])
@@ -149,12 +149,10 @@ def ising_to_forney(g):
         members += [g.factors[singles[v]] for v in verts if owner[v] == gi]
         new_factors.append(multiply_factors(members))
 
-    degree = np.zeros(g.num_vars, dtype=int)
-    for f in new_factors:
-        for v in f.scope:
-            degree[v] += 1
-    for v in np.flatnonzero(degree == 1):
-        new_factors.append(Factor.uniform((int(v),), (g.cards[v],)))
+    nbrs = adjacent_factors(g.num_vars, new_factors)
+    for v in range(g.num_vars):
+        if len(nbrs[v]) == 1:
+            new_factors.append(Factor.uniform((v,), (g.cards[v],)))
     return validate_forney(FactorGraph(g.cards, tuple(new_factors)))
 
 

@@ -21,6 +21,15 @@ from .errors import DegreeViolation
 from .factors import Factor
 
 
+def adjacent_factors(num_vars, factors):
+    """For each variable, the ascending tuple of ids of its factors."""
+    nbrs = [[] for _ in range(num_vars)]
+    for i, f in enumerate(factors):
+        for v in f.scope:
+            nbrs[v].append(i)
+    return tuple(tuple(b) for b in nbrs)
+
+
 @dataclass(frozen=True)
 class FactorGraph:
     """Discrete factor graph: per-variable cardinalities plus factors."""
@@ -56,12 +65,8 @@ class FactorGraph:
 
     @cached_property
     def var_neighbors(self):
-        """For each variable, the ascending list of adjacent factor ids."""
-        nbrs = [[] for _ in range(self.num_vars)]
-        for i, f in enumerate(self.factors):
-            for v in f.scope:
-                nbrs[v].append(i)
-        return tuple(tuple(b) for b in nbrs)
+        """For each variable, the ascending tuple of adjacent factor ids."""
+        return adjacent_factors(self.num_vars, self.factors)
 
     def degree(self, v):
         return len(self.var_neighbors[v])

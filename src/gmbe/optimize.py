@@ -70,37 +70,15 @@ class OptimizerConfig:
         return cls(method, **overrides)
 
 
-@dataclass
-class OptState:
-    """Mutable optimization state over a fixed tree structure."""
+def _sign(ev):
+    """+1 on an upper tree, whose moves descend; -1 on a lower one.
 
-    tree: object
-    evaluator: TreeEvaluator
-    bound: float
-    neighbors: tuple    # var -> adjacent factor ids; scopes never change
-
-    @property
-    def factors(self):
-        """The working model's factors, as held by the evaluator."""
-        return tuple(self.evaluator.factors)
-
-    @property
-    def direction(self):
-        return self.tree.direction
-
-    def _improved(self, new, old):
-        return new <= old if self.direction == "upper" else new >= old
-
-    def _descent_sign(self):
-        return 1.0 if self.direction == "upper" else -1.0
+    A bound b is no worse than b0 exactly when sign * b <= sign * b0.
+    """
+    return 1.0 if ev.tree.direction == "upper" else -1.0
 
 
-def init_state(g, tree):
-    ev = TreeEvaluator(tree, g.factors, mode="wsum")
-    return OptState(tree, ev, ev.bound(), g.var_neighbors)
-
-
-def _accept(state, apply, mu, tries):
+def _accept(ev, apply, mu, tries):
     """Keep the first candidate, halving mu, whose bound is no worse.
 
     ``apply(mu)`` sets the candidate for step mu on the evaluator and
@@ -108,14 +86,12 @@ def _accept(state, apply, mu, tries):
     worse candidate is restored before the next, halved, try.  Returns
     whether a candidate was kept.
     """
-    ev = state.evaluator
-    old = state.bound
+    sign = _sign(ev)
+    old = ev.bound()
     for _ in range(tries):
         token = apply(mu)
         if token is not None:
-            new = ev.bound()
-            if state._improved(new, old):
-                state.bound = new
+            if sign * ev.bound() <= sign * old:
                 return True
             ev.restore(token)
         mu *= BACKTRACK_FACTOR
@@ -138,7 +114,7 @@ def _cavity_term(ev, fid, v, memo):
             @ np.moveaxis(vals, ax, -1).reshape(-1, d))
 
 
-def gauge_gradient(state, v):
+def gauge_gradient(ev, v):
     """Derivative of the log bound w.r.t. the matrix on v's free edge.
 
     The free edge joins the lower-id adjacent factor; the higher-id
@@ -147,22 +123,22 @@ def gauge_gradient(state, v):
     zero entries are allowed.  On a lower tree, a zero entry under a
     weight above 1 or below 0 can make entries inf or nan.
     """
-    a, b = _edge_pair(state, v)
+    a, b = _edge_pair(ev, v)
     memo = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        ta = _cavity_term(state.evaluator, a, v, memo)
-        tb = _cavity_term(state.evaluator, b, v, memo)
+        ta = _cavity_term(ev, a, v, memo)
+        tb = _cavity_term(ev, b, v, memo)
         return ta - tb.T
 
 
-def _edge_pair(state, v):
-    nbrs = state.neighbors[v]
+def _edge_pair(ev, v):
+    nbrs = ev.neighbors[v]
     if len(nbrs) != 2:
         raise ValueError(f"variable {v} does not have exactly two factors")
     return nbrs[0], nbrs[1]
 
 
-def gauge_step(state, v):
+def gauge_step(ev, v):
     """One accepted-descent transform step at variable v.
 
     The candidate matrix is I -/+ mu * gradient (sign per direction);
@@ -173,11 +149,10 @@ def gauge_step(state, v):
     worse, nothing is set and False is returned.  A gradient that is
     not finite declines the whole move in the same way.
     """
-    grad = gauge_gradient(state, v)
+    grad = gauge_gradient(ev, v)
     if not np.isfinite(grad).all():
         return False
-    a, b = _edge_pair(state, v)
-    ev = state.evaluator
+    a, b = _edge_pair(ev, v)
     fa, fb = ev.factors[a], ev.factors[b]
     eye = np.eye(fa.cards[fa.axis_of(v)])
 
@@ -190,23 +165,22 @@ def gauge_step(state, v):
         return ev.set_factors({a: gauge_transform_factor(fa, {v: cand}),
                                b: gauge_transform_factor(fb, {v: partner})})
 
-    return _accept(state, apply, STEP_GAUGE * state._descent_sign(),
-                   MAX_BACKTRACKS + 1)
+    return _accept(ev, apply, STEP_GAUGE * _sign(ev), MAX_BACKTRACKS + 1)
 
 
-def reparam_gradient(state, v):
+def reparam_gradient(ev, v):
     """Marginal mismatch of v between its two adjacent factors."""
-    a, b = _edge_pair(state, v)
-    fa, fb = state.evaluator.factors[a], state.evaluator.factors[b]
+    a, b = _edge_pair(ev, v)
+    fa, fb = ev.factors[a], ev.factors[b]
     memo = {}
-    qa = state.evaluator.factor_marginal(a, memo)
-    qb = state.evaluator.factor_marginal(b, memo)
+    qa = ev.factor_marginal(a, memo)
+    qb = ev.factor_marginal(b, memo)
     ma = np.moveaxis(qa, fa.axis_of(v), 0).reshape(qa.shape[fa.axis_of(v)], -1).sum(axis=1)
     mb = np.moveaxis(qb, fb.axis_of(v), 0).reshape(qb.shape[fb.axis_of(v)], -1).sum(axis=1)
     return ma - mb
 
 
-def reparam_step(state):
+def reparam_step(ev):
     """One accepted sweep of diagonal rescaling over all variables.
 
     Per variable, both adjacent factors absorb opposite log-scale
@@ -214,11 +188,10 @@ def reparam_step(state):
     with halving as for transform steps.  Returns whether any variable's
     move was accepted.
     """
-    ev = state.evaluator
     any_accepted = False
-    for v in state.tree.order:
-        grad = reparam_gradient(state, v)
-        a, b = _edge_pair(state, v)
+    for v in ev.tree.order:
+        grad = reparam_gradient(ev, v)
+        a, b = _edge_pair(ev, v)
         fa, fb = ev.factors[a], ev.factors[b]
 
         def apply(mu):
@@ -226,13 +199,12 @@ def reparam_step(state):
             return ev.set_factors({a: fa.scale_axis_log(v, theta),
                                    b: fb.scale_axis_log(v, -theta)})
 
-        any_accepted |= _accept(state, apply,
-                                STEP_REPARAM * state._descent_sign(),
+        any_accepted |= _accept(ev, apply, STEP_REPARAM * _sign(ev),
                                 MAX_BACKTRACKS + 1)
     return any_accepted
 
 
-def weight_step(state):
+def weight_step(ev):
     """One accepted sweep of power-sum weight updates (upper trees).
 
     For each split variable the closed-form gradient of the log bound
@@ -242,11 +214,10 @@ def weight_step(state):
     not increase; there is no backtracking.  Returns whether any
     variable's move was accepted.
     """
-    if state.direction != "upper":
+    if ev.tree.direction != "upper":
         raise ValueError("weight steps require an upper-direction tree")
-    ev = state.evaluator
     any_accepted = False
-    for v, ks in state.tree.splits.items():
+    for v, ks in ev.tree.splits.items():
         if len(ks) < 2:
             continue
         w = np.array([ev.weights[k] for k in ks])
@@ -258,32 +229,34 @@ def weight_step(state):
             cand = cand / cand.sum()
             return ev.set_weights(dict(zip(ks, cand)))
 
-        any_accepted |= _accept(state, apply, STEP_WEIGHT, 1)
+        any_accepted |= _accept(ev, apply, STEP_WEIGHT, 1)
     return any_accepted
 
 
 def optimize_bound(g, tree, config):
-    """Run the configured sweeps and return (result, final state).
+    """Run the configured sweeps; return (result, final evaluator).
 
     Each iteration runs the moves ``METHODS`` names for the method:
     transform steps over all variables, then weight steps, then
     reparameterization steps.  The
     trace holds the bound after every iteration and is monotone for the
-    tree's direction because every move is accept-only.
+    tree's direction because every move is accept-only.  The
+    evaluator holds the working model (``factors``) and the final
+    weights.
     """
     t0 = time.perf_counter()
     moves = METHODS[config.method]
-    state = init_state(g, tree)
-    trace = [state.bound]
+    ev = TreeEvaluator(tree, g.factors)
+    trace = [ev.bound()]
     for _ in range(config.iterations):
         if "gauges" in moves:
             for v in tree.order:
-                gauge_step(state, v)
+                gauge_step(ev, v)
         if "weights" in moves:
-            weight_step(state)
+            weight_step(ev)
         if "reparam" in moves:
-            reparam_step(state)
-        trace.append(state.bound)
-    result = BoundResult(config.method, tree.direction, state.bound,
+            reparam_step(ev)
+        trace.append(ev.bound())
+    result = BoundResult(config.method, tree.direction, trace[-1],
                          tuple(trace), time.perf_counter() - t0)
-    return result, state
+    return result, ev

@@ -2,8 +2,9 @@
 
 ``brute_z`` lives in ``gmbe.oracle`` because ``gmbe verify`` uses it.
 Everything here is used only by the test suite: the nested power sum
-over the dense split model, the chain-rule auxiliary marginals, central
-finite differences, and the full-rescan min-fill greedy that
+over the dense split model, the same sum taken bucket by bucket along
+the tree at any nonzero weights, the chain-rule auxiliary marginals,
+central finite differences, and the full-rescan min-fill greedy that
 ``default_order`` must reproduce.
 """
 
@@ -56,6 +57,35 @@ def brute_wmbe(g, tree, weights=None, budget=MAX_STATES):
     for k in range(len(tree.buckets)):
         table = _wsum_keepdims(table, weights[k], k)
     return float(table.reshape(()))
+
+
+def tree_wmbe(g, tree, weights):
+    """Nested power sums along the tree's buckets; returns the log bound.
+
+    Buckets run in index order, so children come first; each adds its
+    factors and child messages over its scope and power-sums its
+    variable out.  Unlike ``TreeEvaluator``, it takes any nonzero
+    weights, on or off the simplex.
+    """
+    msgs = {}
+    bound = 0.0
+    for b in tree.buckets:
+        members = [(g.factors[fid].scope, g.factors[fid].logmag)
+                   for fid in b.factor_ids]
+        members += [msgs[ch] for ch in b.children]
+        psi = np.zeros([tree.cards[u] for u in b.scope])
+        for scope, table in members:
+            perm = sorted(range(len(scope)), key=lambda i: scope[i])
+            shape = [tree.cards[u] if u in scope else 1 for u in b.scope]
+            psi = psi + np.transpose(table, perm).reshape(shape)
+        axis = b.scope.index(b.var)
+        msg = _wsum_keepdims(psi, weights[b.index], axis)
+        if b.parent is None:
+            bound += float(msg.reshape(()))
+        else:
+            rest = tuple(u for u in b.scope if u != b.var)
+            msgs[b.index] = (rest, np.squeeze(msg, axis))
+    return bound
 
 
 def brute_aux_marginals(g, tree, weights=None, budget=MAX_STATES):

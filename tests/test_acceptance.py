@@ -39,7 +39,6 @@ from gmbe import (
 from gmbe.optimize import (
     OptimizerConfig,
     gauge_gradient,
-    init_state,
     optimize_bound,
     reparam_gradient,
 )
@@ -259,7 +258,7 @@ def test_criterion_05_gradients_match_finite_differences():
         direction = "upper" if i % 3 else "lower"
         g = gen_forney_3regular(n, t=1.0, seed=200 + i)
         tree = build_minibucket_tree(g, default_order(g), 2, direction)
-        state = init_state(g, tree)
+        ev = TreeEvaluator(tree, g.factors)
         split_vars = [v for v, ks in tree.splits.items() if len(ks) > 1]
         rng = np.random.default_rng(i)
         probe = [int(v) for v in rng.choice(g.num_vars, 2, replace=False)]
@@ -282,9 +281,9 @@ def test_criterion_05_gradients_match_finite_differences():
                 return TreeEvaluator(tree, fs).bound()
 
             pairs = (
-                (gauge_gradient(state, v),
+                (gauge_gradient(ev, v),
                  fd_gradient(bound_with_gauge, np.eye(2), h=1e-6)),
-                (reparam_gradient(state, v),
+                (reparam_gradient(ev, v),
                  fd_gradient(bound_with_shift, np.zeros(2), h=1e-6)),
             )
             for analytic, fd in pairs:
@@ -313,8 +312,8 @@ def test_criterion_06_symmetric_models_defeat_rescaling():
         n = 6 if seed % 2 == 0 else 8
         g = gen_symmetric_forney(n, t=1.0, seed=seed)
         tree = build_minibucket_tree(g, default_order(g), 2)
-        state = init_state(g, tree)
-        grad = max(float(np.abs(reparam_gradient(state, v)).max())
+        ev = TreeEvaluator(tree, g.factors)
+        grad = max(float(np.abs(reparam_gradient(ev, v)).max())
                    for v in range(g.num_vars))
         worst_grad = max(worst_grad, grad)
         assert grad < 1e-9

@@ -557,8 +557,8 @@ class TestEvaluatorIncremental:
         "to_forney": (lambda: random_forney_from_pairwise(10, 20, 0), 7),
     }
 
-    @staticmethod
-    def _random_edits(ev, factors, weights, seed, mode):
+    @classmethod
+    def _random_edits(cls, ev, factors, weights, seed, mode):
         """Seeded set_factors/set_weights calls, about half restored.
 
         Keeps ``factors`` and ``weights`` equal to what ``ev`` holds.
@@ -580,11 +580,7 @@ class TestEvaluatorIncremental:
                 target, updates = factors, new
             else:
                 ks = splits[int(rng.integers(len(splits)))]
-                if ev.tree.direction == "upper":
-                    ws = rng.dirichlet(np.ones(len(ks)))
-                else:
-                    ws = -rng.uniform(0.1, 1.0, len(ks))
-                    ws[0] = 1.0 - ws[1:].sum()
+                ws = cls._valid_weights(rng, len(ks), ev.tree.direction)
                 updates = dict(zip(ks, ws.tolist()))
                 token = ev.set_weights(updates)
                 target = weights
@@ -624,6 +620,68 @@ class TestEvaluatorIncremental:
                                           fresh.factor_marginal(fid))
         np.testing.assert_array_equal(ev.weight_gradient(list(range(n))),
                                       fresh.weight_gradient(list(range(n))))
+
+    @staticmethod
+    def _valid_weights(rng, n, direction):
+        """n random weights that keep the rule for the direction."""
+        if direction == "upper":
+            return rng.dirichlet(np.ones(n))
+        ws = -rng.uniform(0.1, 1.0, n)
+        ws[0] = 1.0 - ws[1:].sum()
+        return ws
+
+    @classmethod
+    def _bad_weights(cls, rng, ks, current, direction):
+        """Weights for ks that break the rule in one of four ways."""
+        n = len(ks)
+        kind = ("sum", "sign", "zero", "partial")[int(rng.integers(4))]
+        ws = cls._valid_weights(rng, n, direction)
+        if kind == "sum":
+            ws = ws * rng.uniform(1.1, 2.0)
+        elif kind == "sign" and direction == "upper":
+            ws = np.full(n, -0.5)
+            ws[0] = 1.0 - ws[1:].sum()
+        elif kind == "sign":
+            ws = rng.dirichlet(np.ones(n))
+        elif kind == "zero":
+            ws[int(rng.integers(n))] = 0.0
+        else:
+            # one copy moves, so the variable's sum moves off 1
+            return {ks[0]: float(current[ks[0]] + rng.uniform(0.1, 0.5))}
+        return dict(zip(ks, ws.tolist()))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_weight_rule_fuzz(self, model, direction):
+        # off-simplex, sign-breaking, zero and one-copy weight updates
+        # are rejected and change nothing; valid ones in between are kept
+        make, ibound = self.MODELS[model]
+        g = make()
+        tree = build_minibucket_tree(g, default_order(g), ibound, direction)
+        ev = TreeEvaluator(tree, g.factors)
+        weights = list(tree.initial_weights)
+        splits = [ks for ks in tree.splits.values() if len(ks) > 1]
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            ks = splits[int(rng.integers(len(splits)))]
+            bad = self._bad_weights(rng, ks, ev.weights, direction)
+            before_w = ev.weights.copy()
+            before_t = list(zip(ev.psi, ev.msg))
+            before = ev.bound()
+            with pytest.raises((ValueError, ZeroWeight)):
+                ev.set_weights(bad)
+            np.testing.assert_array_equal(ev.weights, before_w)
+            assert all(p is p0 and m is m0 for (p, m), (p0, m0)
+                       in zip(zip(ev.psi, ev.msg), before_t))
+            assert ev.bound() == before
+            ws = self._valid_weights(rng, len(ks), direction)
+            ev.set_weights(dict(zip(ks, ws.tolist())))
+            for k, w in zip(ks, ws.tolist()):
+                weights[k] = w
+        np.testing.assert_array_equal(ev.weights, weights)
+        fresh = TreeEvaluator(tree, g.factors, weights=weights)
+        assert ev.bound() == fresh.bound()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("model", sorted(MODELS))

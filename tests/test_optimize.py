@@ -23,13 +23,14 @@ from gmbe import (
     ising_to_forney,
     run_be,
     run_wmbe,
+    to_forney,
 )
 from gmbe import optimize
+from gmbe.errors import NumericalUnderflow
 from gmbe.optimize import (
     OptimizerConfig,
     gauge_gradient,
     gauge_step,
-    init_state,
     optimize_bound,
     reparam_gradient,
     reparam_step,
@@ -37,7 +38,7 @@ from gmbe.optimize import (
 )
 
 from conftest import random_forney_from_pairwise
-from oracles import brute_aux_marginals, fd_gradient
+from oracles import brute_aux_marginals, fd_gradient, tree_wmbe
 
 METHODS = ("wmbe", "wmbe-w", "wmbe-theta", "wmbe-wtheta", "wmbe-g",
            "wmbe-wg")
@@ -109,7 +110,7 @@ class TestGaugeGradient:
                 cases.append((g, fixture_tree(g, ibound=ibound),
                               range(g.num_vars)))
         for g, tree, variables in cases:
-            state = init_state(g, tree)
+            ev = TreeEvaluator(tree, g.factors)
             for v in variables:
                 a, b = g.var_neighbors[v]
                 fa, fb = g.factors[a], g.factors[b]
@@ -122,7 +123,7 @@ class TestGaugeGradient:
                     return TreeEvaluator(tree, factors).bound()
 
                 fd = fd_gradient(bound_at, np.eye(2), h=1e-6)
-                analytic = gauge_gradient(state, v)
+                analytic = gauge_gradient(ev, v)
                 np.testing.assert_allclose(analytic, fd, rtol=1e-5,
                                            atol=1e-7)
 
@@ -135,11 +136,11 @@ class TestGaugeGradient:
             g = random_forney_from_pairwise(10, 20, seed)
             cases.append((g, max(f.arity for f in g.factors), "upper"))
         for g, ibound, direction in cases:
-            state = init_state(g, fixture_tree(g, direction, ibound))
+            ev = TreeEvaluator(fixture_tree(g, direction, ibound), g.factors)
             for v in range(g.num_vars):
                 np.testing.assert_allclose(
-                    reparam_gradient(state, v),
-                    np.diag(gauge_gradient(state, v)), rtol=0, atol=1e-12)
+                    reparam_gradient(ev, v),
+                    np.diag(gauge_gradient(ev, v)), rtol=0, atol=1e-12)
 
     def test_needs_degree_two(self):
         g = FactorGraph(
@@ -147,9 +148,9 @@ class TestGaugeGradient:
             (Factor.uniform((0, 1), (2, 2)), Factor.uniform((0,), (2,))),
         )
         tree = fixture_tree(g, ibound=2)
-        state = init_state(g, tree)
+        ev = TreeEvaluator(tree, g.factors)
         with pytest.raises(ValueError):
-            gauge_gradient(state, 1)
+            gauge_gradient(ev, 1)
 
 
 class TestReparamGradient:
@@ -157,7 +158,7 @@ class TestReparamGradient:
     def test_matches_finite_differences(self, direction):
         g = fixture_model(6, seed=3)
         tree = fixture_tree(g, direction)
-        state = init_state(g, tree)
+        ev = TreeEvaluator(tree, g.factors)
         for v in (1, 5):
             a, b = [fid for fid, f in enumerate(g.factors) if v in f.scope]
 
@@ -168,54 +169,55 @@ class TestReparamGradient:
                 return TreeEvaluator(tree, factors).bound()
 
             fd = fd_gradient(bound_at, np.zeros(2), h=1e-6)
-            analytic = reparam_gradient(state, v)
+            analytic = reparam_gradient(ev, v)
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
 
     def test_flat_on_flip_symmetric_model(self):
         # mirror-symmetric tables make both factor marginals of every
         # variable coincide, so the rescaling gradient starts at zero
         g = gen_symmetric_forney(6, t=1.0, seed=2)
-        state = init_state(g, fixture_tree(g))
+        ev = TreeEvaluator(fixture_tree(g), g.factors)
         for v in range(g.num_vars):
-            np.testing.assert_allclose(reparam_gradient(state, v),
+            np.testing.assert_allclose(reparam_gradient(ev, v),
                                        np.zeros(2), atol=1e-12)
 
 
 class TestGaugeStep:
     def test_accepted_step_improves(self):
         g = fixture_model()
-        state = init_state(g, fixture_tree(g))
-        before = state.bound
-        accepted = gauge_step(state, 0)
+        tree = fixture_tree(g)
+        ev = TreeEvaluator(tree, g.factors)
+        before = ev.bound()
+        accepted = gauge_step(ev, 0)
         assert accepted
-        assert state.bound <= before
-        assert state.evaluator.bound() == pytest.approx(state.bound)
+        assert ev.bound() <= before
+        assert TreeEvaluator(tree, ev.factors).bound() == pytest.approx(
+            ev.bound())
 
     def test_partition_function_untouched(self):
         g = fixture_model()
         order = default_order(g)
-        state = init_state(g, fixture_tree(g))
+        ev = TreeEvaluator(fixture_tree(g), g.factors)
         z0 = run_be(g, order).logabs
         for v in range(0, g.num_vars, 2):
-            gauge_step(state, v)
-        z1 = run_be(FactorGraph(g.cards, tuple(state.factors)), order)
+            gauge_step(ev, v)
+        z1 = run_be(FactorGraph(g.cards, tuple(ev.factors)), order)
         assert z1.sign == 1.0
         assert z1.logabs == pytest.approx(z0, abs=1e-10)
 
     def test_rejection_leaves_state_alone(self):
         g = fixture_model()
-        state = init_state(g, fixture_tree(g))
         # descend to a local floor first so steps stop helping
         cfg = OptimizerConfig.for_method("wmbe-g", iterations=40)
-        _, state = optimize_bound(g, fixture_tree(g), cfg)
-        before = state.bound
-        factors_before = list(state.factors)
-        accepted = gauge_step(state, 0)
-        assert state.bound <= before + 1e-12
+        _, ev = optimize_bound(g, fixture_tree(g), cfg)
+        before = ev.bound()
+        factors_before = list(ev.factors)
+        accepted = gauge_step(ev, 0)
+        assert ev.bound() <= before + 1e-12
         if not accepted:
-            assert state.bound == before
+            assert ev.bound() == before
             assert all(f1 is f2 for f1, f2
-                       in zip(factors_before, state.factors))
+                       in zip(factors_before, ev.factors))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_gradient_declines(self):
@@ -223,18 +225,18 @@ class TestGaugeStep:
         # weight above 1 has an infinite cavity
         g = random_forney_from_pairwise(10, 20, 0)
         tree = fixture_tree(g, "lower", max(f.arity for f in g.factors))
-        state = init_state(g, tree)
+        ev = TreeEvaluator(tree, g.factors)
         bad = [v for v in range(g.num_vars)
-               if not np.isfinite(gauge_gradient(state, v)).all()]
+               if not np.isfinite(gauge_gradient(ev, v)).all()]
         assert bad
-        before = state.bound
-        factors_before = list(state.evaluator.factors)
+        before = ev.bound()
+        factors_before = list(ev.factors)
         for v in bad:
-            assert gauge_step(state, v) is False
-        assert state.bound == before
-        assert state.evaluator.bound() == before
+            assert gauge_step(ev, v) is False
+        assert ev.bound() == before
+        assert TreeEvaluator(tree, ev.factors).bound() == before
         assert all(f1 is f2 for f1, f2
-                   in zip(factors_before, state.evaluator.factors))
+                   in zip(factors_before, ev.factors))
 
     def test_ill_conditioned_candidate_declines(self, monkeypatch):
         # a condition limit of exactly 1 declines every non-orthogonal
@@ -242,13 +244,13 @@ class TestGaugeStep:
         monkeypatch.setattr(optimize, "COND_LIMIT", 1.0)
         monkeypatch.setattr(optimize, "MAX_BACKTRACKS", 2)
         g = fixture_model()
-        state = init_state(g, fixture_tree(g))
-        ev = state.evaluator
-        before = state.bound
+        tree = fixture_tree(g)
+        ev = TreeEvaluator(tree, g.factors)
+        before = ev.bound()
         factors_before = list(ev.factors)
-        assert gauge_step(state, 0) is False
-        assert state.bound == before
+        assert gauge_step(ev, 0) is False
         assert ev.bound() == before
+        assert TreeEvaluator(tree, ev.factors).bound() == before
         assert all(f1 is f2 for f1, f2 in zip(factors_before, ev.factors))
 
 
@@ -269,15 +271,18 @@ class TestWeightGradient:
         for g in models:
             # equality factors have the arity of the variable's degree
             tree = fixture_tree(g, ibound=max(f.arity for f in g.factors))
-            ev = init_state(g, tree).evaluator
+            ev = TreeEvaluator(tree, g.factors)
             for ks in tree.splits.values():
                 if len(ks) < 2:
                     continue
 
+                # the probes leave the simplex, which the evaluator
+                # rejects, so they go through the reference
                 def bound_at(logw):
-                    probe = TreeEvaluator(tree, g.factors)
-                    probe.set_weights(dict(zip(ks, np.exp(logw))))
-                    return probe.bound()
+                    weights = list(tree.initial_weights)
+                    for k, w in zip(ks, np.exp(logw)):
+                        weights[k] = w
+                    return tree_wmbe(g, tree, weights)
 
                 logw0 = np.log([ev.weights[k] for k in ks])
                 fd = fd_gradient(bound_at, logw0, h=1e-5)
@@ -291,13 +296,13 @@ class TestWeightStep:
     def test_improves_and_stays_normalized(self):
         g = fixture_model()
         tree = fixture_tree(g)
-        state = init_state(g, tree)
-        before = state.bound
-        accepted = weight_step(state)
+        ev = TreeEvaluator(tree, g.factors)
+        before = ev.bound()
+        accepted = weight_step(ev)
         assert accepted
-        assert state.bound <= before
+        assert ev.bound() <= before
         for v, ks in tree.splits.items():
-            ws = [state.evaluator.weights[k] for k in ks]
+            ws = [ev.weights[k] for k in ks]
             assert sum(ws) == pytest.approx(1.0, abs=1e-12)
             assert all(w > 0 for w in ws)
 
@@ -305,26 +310,26 @@ class TestWeightStep:
         monkeypatch.setattr(optimize, "STEP_WEIGHT", 50.0)
         g = fixture_model()
         tree = fixture_tree(g)
-        state = init_state(g, tree)
-        weight_step(state)
+        ev = TreeEvaluator(tree, g.factors)
+        weight_step(ev)
         for v, ks in tree.splits.items():
-            ws = [state.evaluator.weights[k] for k in ks]
+            ws = [ev.weights[k] for k in ks]
             assert sum(ws) == pytest.approx(1.0, abs=1e-12)
             assert all(w > 0 for w in ws)
 
     def test_lower_direction_rejected(self):
         g = fixture_model()
-        state = init_state(g, fixture_tree(g, "lower"))
+        ev = TreeEvaluator(fixture_tree(g, "lower"), g.factors)
         with pytest.raises(ValueError):
-            weight_step(state)
+            weight_step(ev)
 
     def test_no_splits_nothing_to_do(self):
         g = fixture_model(6, seed=1)
         order = default_order(g)
         from gmbe import induced_width
         tree = build_minibucket_tree(g, order, induced_width(g, order))
-        state = init_state(g, tree)
-        assert weight_step(state) is False
+        ev = TreeEvaluator(tree, g.factors)
+        assert weight_step(ev) is False
 
 
 class TestReparamStep:
@@ -332,12 +337,12 @@ class TestReparamStep:
         g = fixture_model()
         order = default_order(g)
         z0 = run_be(g, order).logabs
-        state = init_state(g, fixture_tree(g))
-        before = state.bound
-        accepted = reparam_step(state)
+        ev = TreeEvaluator(fixture_tree(g), g.factors)
+        before = ev.bound()
+        accepted = reparam_step(ev)
         assert accepted
-        assert state.bound < before
-        got = run_be(FactorGraph(g.cards, tuple(state.factors)), order)
+        assert ev.bound() < before
+        got = run_be(FactorGraph(g.cards, tuple(ev.factors)), order)
         assert got.logabs == pytest.approx(z0, abs=1e-10)
 
 
@@ -346,7 +351,7 @@ class TestAuxMarginals:
     def test_matches_brute(self, direction):
         g = fixture_model(6, seed=1)
         tree = fixture_tree(g, direction)
-        ev = init_state(g, tree).evaluator
+        ev = TreeEvaluator(tree, g.factors)
         joint = ev.beliefs(range(len(tree.buckets)))
         brute = brute_aux_marginals(g, tree)
         assert set(range(g.num_factors)) == set(brute)
@@ -364,14 +369,14 @@ class TestOptimizeBound:
         g = fixture_model()
         tree = fixture_tree(g)
         cfg = OptimizerConfig.for_method(method, iterations=12)
-        res, state = optimize_bound(g, tree, cfg)
+        res, ev = optimize_bound(g, tree, cfg)
         assert res.method == method
         assert res.direction == "upper"
         assert res.trace[0] == pytest.approx(
             run_wmbe(g, tree).log_bound, abs=1e-12)
         assert_monotone(res.trace, "upper")
         assert res.log_bound >= brute_z(g).logabs - 1e-9
-        assert res.log_bound == pytest.approx(state.bound)
+        assert res.log_bound == ev.bound()
 
     @pytest.mark.parametrize("method", LOWER_METHODS)
     def test_lower_monotone_and_valid(self, method):
@@ -382,6 +387,23 @@ class TestOptimizeBound:
         assert res.direction == "lower"
         assert_monotone(res.trace, "lower")
         assert res.log_bound <= brute_z(g).logabs + 1e-9
+
+    def test_underflow_names_the_variable(self):
+        # the equality factors to_forney adds hold zeros; under the
+        # reverse pattern's negative weights they reach the root as -inf
+        grid = gen_ising_grid(4, 4, 1.0, seed=0)
+        g, _ = to_forney(FactorGraph(
+            grid.cards, tuple(f for f in grid.factors if f.arity == 2)))
+        tree = fixture_tree(g, "lower", 4)
+        ev = TreeEvaluator(tree, g.factors)
+        (k,) = [k for k in tree.roots if ev.msg[k] == -np.inf]
+        b = tree.buckets[k]
+        want = (f"zero normalizer at root mini-bucket {k} "
+                f"(variable {b.var}, copy {b.copy})")
+        cfg = OptimizerConfig.for_method("wmbe-theta", iterations=2)
+        with pytest.raises(NumericalUnderflow) as info:
+            optimize_bound(g, tree, cfg)
+        assert str(info.value) == want
 
     def test_weights_on_lower_tree_rejected(self):
         g = fixture_model()
@@ -410,8 +432,8 @@ class TestOptimizeBound:
         z0 = run_be(g, order).logabs
         for method in ("wmbe-g", "wmbe-wtheta", "wmbe-wg"):
             cfg = OptimizerConfig.for_method(method, iterations=10)
-            _, state = optimize_bound(g, fixture_tree(g), cfg)
-            got = run_be(FactorGraph(g.cards, tuple(state.factors)), order)
+            _, ev = optimize_bound(g, fixture_tree(g), cfg)
+            got = run_be(FactorGraph(g.cards, tuple(ev.factors)), order)
             assert got.sign == 1.0
             assert got.logabs == pytest.approx(z0, abs=1e-9)
 
