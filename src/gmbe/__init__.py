@@ -24,13 +24,11 @@ from .elimination import (
     MiniBucketTree,
     TreeEvaluator,
     build_minibucket_tree,
-    check_weights,
     default_order,
     induced_width,
     run_be,
     run_mbe,
     run_wmbe,
-    wsum,
 )
 from .oracle import brute_z
 from .fileio import ResultRow, emit_csv, emit_uai, parse_uai, read_uai_file

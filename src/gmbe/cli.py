@@ -29,7 +29,7 @@ from .elimination import (
     run_mbe,
     run_wmbe,
 )
-from .errors import GmbeError, NotAGrid
+from .errors import GmbeError, NotAGrid, OddFactorCount
 from .fileio import ResultRow, emit_csv, emit_uai, read_uai_file
 from .generators import (
     gen_forney_3regular,
@@ -106,17 +106,13 @@ def _lower_unsupported(method, lower):
     return False
 
 
-def _compute_bound(g, fg, method, ibound, iters, lower=False, order=None):
-    """``method``'s bound; ``order`` is ``fg``'s, computed if not given."""
+def _compute_bound(g, fg, tree, method, iters):
+    """``method``'s bound on ``fg`` over ``tree``; be is exact on ``g``."""
     if method == "be":
         t0 = time.perf_counter()
         z = run_be(g, default_order(g))
         return BoundResult("be", "exact", z.logabs, (z.logabs,),
                            time.perf_counter() - t0)
-    direction = "lower" if lower else "upper"
-    if order is None:
-        order = default_order(fg)
-    tree = build_minibucket_tree(fg, order, ibound, direction=direction)
     if method == "mbe":
         return run_mbe(fg, tree)
     if method == "wmbe":
@@ -131,7 +127,11 @@ def _compute_bound(g, fg, method, ibound, iters, lower=False, order=None):
 
 
 def cmd_gen(args):
-    g = _generate(args.model, args, args.t, args.seed)
+    try:
+        g = _generate(args.model, args, args.t, args.seed)
+    except (ValueError, OddFactorCount) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     text = emit_uai(g)
     out = Path(args.output)
     out.write_text(text)
@@ -169,9 +169,12 @@ def cmd_bound(args):
     g = read_uai_file(args.model_file)
     if _lower_unsupported(args.method, args.lower):
         return EXIT_USAGE
-    fg = None if args.method == "be" else _forney_view(g)
-    res = _compute_bound(g, fg, args.method, args.ibound, args.iters,
-                         lower=args.lower)
+    fg = tree = None
+    if args.method != "be":
+        fg = _forney_view(g)
+        tree = build_minibucket_tree(fg, default_order(fg), args.ibound,
+                                     "lower" if args.lower else "upper")
+    res = _compute_bound(g, fg, tree, args.method, args.iters)
     payload = {
         "model": str(args.model_file),
         "method": res.method,
@@ -219,10 +222,13 @@ def cmd_verify(args):
     print(f"brute-force log Z = {exact.logabs:.12f}")
     fg = _forney_view(g)
     order = default_order(fg)
+    trees = {}  # one per direction, shared by its methods
     ok = True
     for method, name, lower in methods:
-        res = _compute_bound(g, fg, name, args.ibound, args.iters,
-                             lower=lower, order=order)
+        if name != "be" and lower not in trees:
+            trees[lower] = build_minibucket_tree(
+                fg, order, args.ibound, "lower" if lower else "upper")
+        res = _compute_bound(g, fg, trees.get(lower), name, args.iters)
         gap = res.log_bound - exact.logabs
         if res.direction == "exact":
             good = abs(gap) <= 1e-9
@@ -287,8 +293,8 @@ def _sweep_task(spec, t, seed):
             ref = z.logabs
         except GmbeError:
             ref = None
-        mbe_res = _compute_bound(g, fg, "mbe", spec.ibound, 0, order=order)
-        baseline = ref if ref is not None else mbe_res.log_bound
+        tree = build_minibucket_tree(fg, order, spec.ibound)
+        baseline = ref if ref is not None else run_mbe(fg, tree).log_bound
     except GmbeError as e:
         for method in spec.methods:
             rows.append(ResultRow(name, method, spec.ibound, t, seed,
@@ -297,11 +303,7 @@ def _sweep_task(spec, t, seed):
         return rows
     for method in spec.methods:
         try:
-            if method == "mbe":
-                res = mbe_res
-            else:
-                res = _compute_bound(g, fg, method, spec.ibound,
-                                     spec.iterations, order=order)
+            res = _compute_bound(g, fg, tree, method, spec.iterations)
             rows.append(ResultRow(
                 name, method, spec.ibound, t, seed, res.direction,
                 res.log_bound, ref_log_z=ref,
@@ -346,7 +348,9 @@ def cmd_sweep(args):
             rows=args.rows, cols=args.cols, factors=args.factors,
             field_sigma=args.field_sigma, timings=args.timings,
         )
-    except ValueError as e:
+        # bad model input fails here, before any task (t_start is the least t)
+        _generate(spec.model, spec, spec.t_start, spec.seed_base)
+    except (ValueError, OddFactorCount) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     tasks = [(spec, t, spec.seed_base + trial)

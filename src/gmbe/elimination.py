@@ -43,7 +43,6 @@ from .errors import (
     ZeroWeight,
 )
 from .factors import Factor, product_over, signed_sum_axes, SignedLog
-from .graphs import adjacent_factors
 
 BE_ENTRY_GUARD = 2 ** 24
 
@@ -74,17 +73,6 @@ def _lse_axis(a, axis, w=1.0):
         with np.errstate(invalid="ignore"):
             out = logsumexp(a, axis=axis)
     return out if w == 1.0 else w * out
-
-
-def wsum(logmag, w, axis):
-    """Log of the weighted power sum of magnitudes along ``axis``.
-
-    Signs are dropped by definition: the operation acts on |psi|.
-    The weight may be negative (reverse pattern); zero is undefined.
-    """
-    if w == 0.0:
-        raise ZeroWeight("power-sum weight must be nonzero")
-    return _lse_axis(np.asarray(logmag, dtype=np.float64), axis, w)
 
 
 def _primal_adjacency(g):
@@ -175,11 +163,12 @@ def default_order(g):
     return tuple(order)
 
 
-def run_be(g, order, entry_guard=BE_ENTRY_GUARD):
+def run_be(g, order):
     """Exact log partition function by bucket elimination.
 
     Returns a SignedLog so models whose transformed tables carry
     negative entries still evaluate exactly (signed log-domain sums).
+    A bucket table above ``BE_ENTRY_GUARD`` entries raises WidthExceeded.
     """
     order = _checked_order(order, g.num_vars)
     pos = {v: k for k, v in enumerate(order)}
@@ -194,8 +183,8 @@ def run_be(g, order, entry_guard=BE_ENTRY_GUARD):
         group = buckets[k]
         union = sorted({u for f in group for u in f.scope})
         entries = int(np.prod([cards[u] for u in union]))
-        if entries > entry_guard:
-            raise WidthExceeded(len(union) - 1, entry_guard)
+        if entries > BE_ENTRY_GUARD:
+            raise WidthExceeded(len(union) - 1, BE_ENTRY_GUARD)
         sign, logmag = product_over(group, union,
                                     tuple(cards[u] for u in union))
         ax = union.index(v)
@@ -235,9 +224,12 @@ class MiniBucketTree:
     the split model.  ``initial_weights`` carries the per-mini-bucket
     starting weights for the tree's direction; evaluation may override
     them (the structure never changes during weight optimization).
+    ``var_factors[v]`` is the ascending tuple of ids of v's factors, the
+    model's ``var_neighbors``.
     """
 
     cards: tuple
+    var_factors: tuple
     order: tuple
     ibound: int
     direction: str
@@ -347,15 +339,9 @@ def build_minibucket_tree(g, order, ibound, direction="upper"):
                 at[buckets[k].var] = k
             k = parent[k]
         incidence.append(tuple(at[u] for u in f.scope))
-    return MiniBucketTree(g.cards, order, ibound, direction, buckets,
-                          tuple(factor_bucket), tuple(incidence),
-                          tuple(weights))
-
-
-def check_weights(tree, weights, direction):
-    """Weights must sum to 1 per variable and match the bound direction."""
-    for v, ks in tree.splits.items():
-        _check_split(v, [weights[k] for k in ks], direction)
+    return MiniBucketTree(g.cards, g.var_neighbors, order, ibound,
+                          direction, buckets, tuple(factor_bucket),
+                          tuple(incidence), tuple(weights))
 
 
 def _check_split(v, ws, direction):
@@ -392,18 +378,16 @@ class TreeEvaluator:
     optimization steps cheap.
     """
 
-    def __init__(self, tree, factors, weights=None, mode="wsum"):
+    def __init__(self, tree, factors, mode="wsum"):
         if mode not in ("wsum", "mbe"):
             raise ValueError(f"unknown mode {mode!r}")
         self.tree = tree
         self.mode = mode
-        self.weights = np.array(
-            tree.initial_weights if weights is None else weights, dtype=float
-        )
+        self.weights = np.array(tree.initial_weights, dtype=float)
         if mode == "wsum":
-            check_weights(tree, self.weights, tree.direction)
+            for v, ks in tree.splits.items():
+                _check_split(v, [self.weights[k] for k in ks], tree.direction)
         self.factors = list(factors)
-        self._neighbors = None
         self._aligned = [self._align_factor(f) for f in factors]
         # Static plan.  A bucket's scope is the union of its members'
         # scopes, so their sum always spans it and no member needs a
@@ -472,16 +456,6 @@ class TreeEvaluator:
         """Current log bound: the sum of all root constants."""
         return float(sum(float(self.msg[k]) for k in self._roots))
 
-    @property
-    def neighbors(self):
-        """Variable -> ascending ids of its factors, built on first use
-        (scopes never change); not a ``cached_property``, whose direct
-        ``__dict__`` write slows later attribute reads in CPython 3.11."""
-        if self._neighbors is None:
-            self._neighbors = adjacent_factors(len(self.tree.cards),
-                                               self.factors)
-        return self._neighbors
-
     def _update(self, touched):
         """Recompute the touched buckets and their ancestors, children
         first; returns the old ``(psi, msg)`` of each."""
@@ -509,9 +483,9 @@ class TreeEvaluator:
     def set_weights(self, updates):
         """Set per-mini-bucket weights; returns an undo token.
 
-        Every variable the update touches must keep ``check_weights``'s
-        rule.  That is checked before any weight is set, so a rejected
-        update leaves the evaluator as it was.
+        Every variable the update touches must keep the weight rule of
+        ``_check_split``.  That is checked before any weight is set, so a
+        rejected update leaves the evaluator as it was.
         """
         tree = self.tree
         for v in dict.fromkeys(tree.buckets[k].var for k in updates):
@@ -652,10 +626,10 @@ class TreeEvaluator:
         return grad
 
 
-def run_wmbe(g, tree, weights=None):
+def run_wmbe(g, tree):
     """Weighted mini-bucket bound on log Z for the tree's direction."""
     t0 = time.perf_counter()
-    ev = TreeEvaluator(tree, g.factors, weights=weights, mode="wsum")
+    ev = TreeEvaluator(tree, g.factors)
     lb = ev.bound()
     name = "wmbe" if tree.direction == "upper" else "wmbe-lower"
     return BoundResult(name, tree.direction, lb, (lb,),

@@ -83,7 +83,7 @@ def apply_gauges(g, gauges):
             raise DimensionMismatch(
                 f"matrix for var {v} has shape {np.shape(mat)}, need {(d, d)}"
             )
-        a, b = g.edge_pair(v)
+        a, b = g.var_neighbors[v]
         sides[a][v], sides[b][v] = gauge_pair(mat)
     new_factors = []
     for f, mats in zip(g.factors, sides):

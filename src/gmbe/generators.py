@@ -20,10 +20,17 @@ import numpy as np
 
 from .errors import NotAGrid, OddFactorCount
 from .factors import Factor, multiply_factors
-from .graphs import FactorGraph, adjacent_factors, validate_forney
+from .graphs import FactorGraph, validate_forney
 
 # State k of a spin variable encodes spin value +1 (k=0) or -1 (k=1).
 _SPIN = np.array([1.0, -1.0])
+
+
+def _spread(name, x):
+    """``x``, a variance or standard deviation, if it is finite and >= 0."""
+    if not 0.0 <= x < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {x}")
+    return x
 
 
 def gen_ising_grid(rows, cols, t, field_sigma=np.sqrt(0.1), seed=0):
@@ -42,7 +49,7 @@ def gen_ising_grid(rows, cols, t, field_sigma=np.sqrt(0.1), seed=0):
         raise ValueError("grid must have at least one vertex")
     n = rows * cols
     rng = np.random.default_rng(seed)
-    fields = rng.normal(0.0, field_sigma, size=n)
+    fields = rng.normal(0.0, _spread("field_sigma", field_sigma), size=n)
 
     def vid(i, j):
         return i * cols + j
@@ -57,7 +64,7 @@ def gen_ising_grid(rows, cols, t, field_sigma=np.sqrt(0.1), seed=0):
     for i in range(rows - 1):
         for j in range(cols):
             edges.append((vid(i, j), vid(i + 1, j)))
-    couplings = rng.normal(0.0, np.sqrt(t), size=len(edges))
+    couplings = rng.normal(0.0, np.sqrt(_spread("t", t)), size=len(edges))
     for (u, v), phi in zip(edges, couplings):
         table = phi * np.outer(_SPIN, _SPIN)
         factors.append(Factor.from_log((u, v), (2, 2), table))
@@ -149,7 +156,7 @@ def ising_to_forney(g):
         members += [g.factors[singles[v]] for v in verts if owner[v] == gi]
         new_factors.append(multiply_factors(members))
 
-    nbrs = adjacent_factors(g.num_vars, new_factors)
+    nbrs = FactorGraph(g.cards, tuple(new_factors)).var_neighbors
     for v in range(g.num_vars):
         if len(nbrs[v]) == 1:
             new_factors.append(Factor.uniform((v,), (g.cards[v],)))
@@ -183,7 +190,7 @@ def gen_forney_3regular(num_factors, t, seed=0):
     rng = np.random.default_rng(seed)
     factors = []
     for scope in scopes:
-        logvals = rng.normal(0.0, np.sqrt(t), size=(2, 2, 2))
+        logvals = rng.normal(0.0, np.sqrt(_spread("t", t)), size=(2, 2, 2))
         factors.append(Factor.from_log(scope, (2, 2, 2), logvals))
     return validate_forney(FactorGraph((2,) * num_vars, tuple(factors)))
 
@@ -200,7 +207,7 @@ def gen_symmetric_forney(num_factors, t, seed=0):
     factors = []
     for scope in scopes:
         logvals = np.empty((2, 2, 2))
-        logvals[0] = rng.normal(0.0, np.sqrt(t), size=(2, 2))
+        logvals[0] = rng.normal(0.0, np.sqrt(_spread("t", t)), size=(2, 2))
         logvals[1] = logvals[0, ::-1, ::-1]
         factors.append(Factor.from_log(scope, (2, 2, 2), logvals))
     return validate_forney(FactorGraph((2,) * num_vars, tuple(factors)))

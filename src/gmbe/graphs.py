@@ -21,15 +21,6 @@ from .errors import DegreeViolation
 from .factors import Factor
 
 
-def adjacent_factors(num_vars, factors):
-    """For each variable, the ascending tuple of ids of its factors."""
-    nbrs = [[] for _ in range(num_vars)]
-    for i, f in enumerate(factors):
-        for v in f.scope:
-            nbrs[v].append(i)
-    return tuple(tuple(b) for b in nbrs)
-
-
 @dataclass(frozen=True)
 class FactorGraph:
     """Discrete factor graph: per-variable cardinalities plus factors."""
@@ -65,20 +56,17 @@ class FactorGraph:
 
     @cached_property
     def var_neighbors(self):
-        """For each variable, the ascending tuple of adjacent factor ids."""
-        return adjacent_factors(self.num_vars, self.factors)
-
-    def degree(self, v):
-        return len(self.var_neighbors[v])
+        """For each variable, the ascending tuple of adjacent factor ids:
+        the one variable -> factor table (trees keep it as ``var_factors``)."""
+        nbrs = [[] for _ in self.cards]
+        for i, f in enumerate(self.factors):
+            for v in f.scope:
+                nbrs[v].append(i)
+        return tuple(tuple(b) for b in nbrs)
 
 
 class ForneyGraph(FactorGraph):
     """A factor graph certified to have every variable of degree 2."""
-
-    def edge_pair(self, v):
-        """The (lower id, higher id) factor pair adjacent to variable v."""
-        a, b = self.var_neighbors[v]
-        return a, b
 
 
 def validate_forney(g):
@@ -87,7 +75,8 @@ def validate_forney(g):
     Returns a ForneyGraph over the same data, or raises DegreeViolation
     listing every offending variable.
     """
-    bad = [(v, g.degree(v)) for v in range(g.num_vars) if g.degree(v) != 2]
+    bad = [(v, len(fids)) for v, fids in enumerate(g.var_neighbors)
+           if len(fids) != 2]
     if bad:
         raise DegreeViolation(bad)
     return ForneyGraph(g.cards, g.factors)

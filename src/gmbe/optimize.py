@@ -132,7 +132,7 @@ def gauge_gradient(ev, v):
 
 
 def _edge_pair(ev, v):
-    nbrs = ev.neighbors[v]
+    nbrs = ev.tree.var_factors[v]
     if len(nbrs) != 2:
         raise ValueError(f"variable {v} does not have exactly two factors")
     return nbrs[0], nbrs[1]
@@ -242,10 +242,13 @@ def optimize_bound(g, tree, config):
     trace holds the bound after every iteration and is monotone for the
     tree's direction because every move is accept-only.  The
     evaluator holds the working model (``factors``) and the final
-    weights.
+    weights.  Weight moves need an upper tree; a lower one raises
+    ValueError before any move is made.
     """
     t0 = time.perf_counter()
     moves = METHODS[config.method]
+    if "weights" in moves and tree.direction != "upper":
+        raise ValueError("weight steps require an upper-direction tree")
     ev = TreeEvaluator(tree, g.factors)
     trace = [ev.bound()]
     for _ in range(config.iterations):

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gmbe import FactorGraph, Factor, gen_forney_3regular, to_forney
+from gmbe import (
+    Factor,
+    FactorGraph,
+    TreeEvaluator,
+    gen_forney_3regular,
+    to_forney,
+)
 
 
 def random_pairwise_graph(num_vars, num_edges, seed, card=2):
@@ -39,6 +45,13 @@ def random_forney_from_pairwise(num_vars, num_edges, seed):
     g = random_pairwise_graph(num_vars, num_edges, seed)
     fg, _ = to_forney(g)
     return fg
+
+
+def evaluator_at(tree, factors, weights):
+    """A fresh evaluator moved to ``weights`` by one ``set_weights`` call."""
+    ev = TreeEvaluator(tree, factors)
+    ev.set_weights(dict(enumerate(weights)))
+    return ev
 
 
 @pytest.fixture

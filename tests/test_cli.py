@@ -101,6 +101,23 @@ class TestGen:
             main(["gen", "--model", "tree", "-o", "x.uai"])
         assert err.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("args", [
+        ("--model", "forney-3reg", "--t", "-1"),
+        ("--model", "forney-3reg-sym", "--t", "nan"),
+        ("--model", "forney-3reg", "--factors", "5"),
+        ("--model", "ising-grid", "--field-sigma", "-0.3"),
+        ("--model", "ising-grid", "--t", "inf"),
+        ("--model", "ising-grid", "--rows", "0"),
+    ])
+    def test_out_of_range_input_is_usage_error(self, args, tmp_path,
+                                               capsys):
+        out = tmp_path / "m.uai"
+        code, stdout, err = run_cli(["gen", *args, "-o", str(out)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBound:
     def test_exact_method_matches_enumeration(self, tmp_path, capsys):
@@ -258,10 +275,8 @@ class TestVerify:
         import gmbe.cli as cli_mod
         real = cli_mod._compute_bound
 
-        def corrupted(g, fg, method, ibound, iters, lower=False,
-                      order=None):
-            res = real(g, fg, method, ibound, iters, lower=lower,
-                       order=order)
+        def corrupted(g, fg, tree, method, iters):
+            res = real(g, fg, tree, method, iters)
             if method == "wmbe":
                 return BoundResult(res.method, res.direction,
                                    res.log_bound - 5.0, res.trace,
@@ -286,12 +301,22 @@ class TestVerify:
             return real(g)
 
         monkeypatch.setattr(cli_mod, "default_order", counted)
+        trees = []
+        real_tree = cli_mod.build_minibucket_tree
+
+        def counted_tree(g, order, ibound, direction="upper"):
+            trees.append(direction)
+            return real_tree(g, order, ibound, direction)
+
+        monkeypatch.setattr(cli_mod, "build_minibucket_tree", counted_tree)
         code, out, _ = run_cli(
             ["verify", str(path), "--ibound", "3", "--iters", "2",
              "--methods", "mbe,wmbe,wmbe-theta,wmbe-g,wmbe-lower"], capsys)
         assert code == EXIT_OK
         assert out.count("[ok]") == 5
         assert len(calls) == 1
+        # one tree per direction, shared by the methods
+        assert trees == ["upper", "lower"]
 
     def test_gauges_on_model_with_zero_entries(self, tmp_path, capsys):
         # not a grid, so the equality factors of to_forney, which hold
@@ -409,13 +434,23 @@ class TestSweep:
             calls.append(g)
             return real(g)
 
+        trees = []
+        real_tree = cli_mod.build_minibucket_tree
+
+        def counted_tree(*args):
+            trees.append(args)
+            return real_tree(*args)
+
         monkeypatch.setenv("GMBE_THREADS", "1")
         monkeypatch.setattr(cli_mod, "default_order", counted)
+        monkeypatch.setattr(cli_mod, "build_minibucket_tree", counted_tree)
         self._run(tmp_path, capsys, extra=(
             "--methods", "mbe,wmbe,wmbe-w,wmbe-theta,wmbe-wtheta,wmbe-g,"
                          "wmbe-wg"))
-        # 2 strengths x 2 trials, each ordered once for all 7 methods
+        # 2 strengths x 2 trials, each ordered once and given one tree
+        # for all 7 methods
         assert len(calls) == 4
+        assert len(trees) == 4
 
     def test_timings_flag_adds_wall_time(self, tmp_path, capsys):
         out = self._run(tmp_path, capsys, "timed.csv",
@@ -437,6 +472,24 @@ class TestSweep:
             capsys)
         assert code == EXIT_USAGE
         assert "unknown method" in err
+
+    @pytest.mark.parametrize("args", [
+        ("--t-range=-1:-1:1",),
+        ("--t-range=-0.5:1:0.5",),
+        ("--t-range", "0.5:1:0.5", "--field-sigma", "-0.3"),
+        ("--t-range", "0.5:1:0.5", "--rows", "0"),
+    ])
+    def test_out_of_range_model_is_usage_error(self, args, tmp_path,
+                                               capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            ["sweep", "--model", "ising-grid", "--rows", "3", "--cols", "3",
+             "--trials", "1", "--methods", "mbe", "--iters", "1", *args,
+             "-o", str(out)], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_trials_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(

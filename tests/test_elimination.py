@@ -21,7 +21,6 @@ from gmbe import (
     apply_gauges,
     brute_z,
     build_minibucket_tree,
-    check_weights,
     default_order,
     gen_forney_3regular,
     gen_ising_grid,
@@ -33,9 +32,8 @@ from gmbe import (
     run_mbe,
     run_wmbe,
     to_forney,
-    wsum,
 )
-from gmbe.elimination import lower_weights
+from gmbe.elimination import _lse_axis, lower_weights
 from gmbe.errors import (
     IboundTooSmall,
     NumericalUnderflow,
@@ -44,6 +42,7 @@ from gmbe.errors import (
 )
 
 from conftest import (
+    evaluator_at,
     random_forney_from_pairwise,
     random_forney_graph,
     random_pairwise_graph,
@@ -67,50 +66,56 @@ finite_logs = arrays(
 
 
 class TestWsum:
+    # the power sum wsum_w(psi) of the module docstring is the kernel
+    # _lse_axis(log|psi|, axis, w)
     def test_weight_one_is_plain_sum(self):
-        got = wsum(np.log([2.0, 8.0]), 1.0, 0)
+        got = _lse_axis(np.log([2.0, 8.0]), 0, 1.0)
         assert got == pytest.approx(math.log(10.0), rel=1e-14)
 
     def test_half_weight_is_root_of_square_sum(self):
         # (2^2 + 8^2)^(1/2) = sqrt(68)
-        got = wsum(np.log([2.0, 8.0]), 0.5, 0)
+        got = _lse_axis(np.log([2.0, 8.0]), 0, 0.5)
         assert got == pytest.approx(0.5 * math.log(68.0), rel=1e-14)
 
     def test_negative_weight(self):
         # (2^-2 + 8^-2)^(-1/2) = (17/64)^(-1/2)
-        got = wsum(np.log([2.0, 8.0]), -0.5, 0)
+        got = _lse_axis(np.log([2.0, 8.0]), 0, -0.5)
         assert got == pytest.approx(-0.5 * math.log(17.0 / 64.0), rel=1e-14)
 
     def test_singleton_invariant_in_weight(self):
         for w in (0.1, 1.0, 3.0, -0.5):
-            assert wsum(np.log([3.0]), w, 0) == pytest.approx(
+            assert _lse_axis(np.log([3.0]), 0, w) == pytest.approx(
                 math.log(3.0), rel=1e-14)
 
     def test_zero_magnitude_entries_drop_out(self):
-        got = wsum(np.array([-np.inf, math.log(5.0)]), 0.5, 0)
+        got = _lse_axis(np.array([-np.inf, math.log(5.0)]), 0, 0.5)
         assert got == pytest.approx(math.log(5.0), rel=1e-14)
 
     def test_all_zero_gives_neg_inf(self):
-        assert wsum(np.array([-np.inf, -np.inf]), 0.5, 0) == -np.inf
+        assert _lse_axis(np.array([-np.inf, -np.inf]), 0, 0.5) == -np.inf
 
     def test_axis_selection(self):
         a = np.log(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_allclose(
-            wsum(a, 1.0, 0), np.log([4.0, 6.0]), rtol=1e-14)
+            _lse_axis(a, 0, 1.0), np.log([4.0, 6.0]), rtol=1e-14)
         np.testing.assert_allclose(
-            wsum(a, 1.0, 1), np.log([3.0, 7.0]), rtol=1e-14)
+            _lse_axis(a, 1, 1.0), np.log([3.0, 7.0]), rtol=1e-14)
 
     def test_zero_weight_rejected(self):
+        g = random_forney_graph(6, t=1.0, seed=1)
+        ev = TreeEvaluator(build_minibucket_tree(g, default_order(g), 2),
+                           g.factors)
+        ks = next(ks for ks in ev.tree.splits.values() if len(ks) > 1)
         with pytest.raises(ZeroWeight):
-            wsum(np.log([1.0, 2.0]), 0.0, 0)
+            ev.set_weights({ks[0]: 0.0, ks[1]: 1.0})
 
     @given(finite_logs, st.floats(0.05, 0.95))
     @settings(max_examples=60, deadline=None)
     def test_holder_upper_split(self, logs, w):
         # sum(f*g) <= wsum(f, w) + wsum(g, 1-w) for positive weights
         lf, lg = logs, logs[::-1].copy()
-        lhs = wsum(lf + lg, 1.0, 0)
-        rhs = wsum(lf, w, 0) + wsum(lg, 1.0 - w, 0)
+        lhs = _lse_axis(lf + lg, 0, 1.0)
+        rhs = _lse_axis(lf, 0, w) + _lse_axis(lg, 0, 1.0 - w)
         assert lhs <= rhs + 1e-10
 
     @given(finite_logs, st.floats(1.1, 3.0))
@@ -118,15 +123,15 @@ class TestWsum:
     def test_holder_lower_split(self, logs, w1):
         # one weight above one, its partner negative: direction flips
         lf, lg = logs, logs[::-1].copy()
-        lhs = wsum(lf + lg, 1.0, 0)
-        rhs = wsum(lf, w1, 0) + wsum(lg, 1.0 - w1, 0)
+        lhs = _lse_axis(lf + lg, 0, 1.0)
+        rhs = _lse_axis(lf, 0, w1) + _lse_axis(lg, 0, 1.0 - w1)
         assert lhs >= rhs - 1e-10
 
     @given(finite_logs, st.floats(0.1, 1.0), st.floats(1.0, 4.0))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_weight(self, logs, w1, scale):
         w2 = w1 * (1.0 + scale)
-        assert wsum(logs, w1, 0) <= wsum(logs, w2, 0) + 1e-10
+        assert _lse_axis(logs, 0, w1) <= _lse_axis(logs, 0, w2) + 1e-10
 
 
 class TestOrders:
@@ -252,13 +257,17 @@ class TestRunBE:
         assert got.sign == z.sign
         assert got.logabs == pytest.approx(z.logabs, rel=1e-9)
 
-    def test_width_guard(self):
+    def test_width_guard(self, monkeypatch):
+        import gmbe.elimination as elim
+
         g = chain_graph(5)
         order = default_order(g)
+        full = run_be(g, order).logabs
+        monkeypatch.setattr(elim, "BE_ENTRY_GUARD", 2)
         with pytest.raises(WidthExceeded):
-            run_be(g, order, entry_guard=2)
-        assert run_be(g, order, entry_guard=4).logabs == pytest.approx(
-            run_be(g, order).logabs)
+            run_be(g, order)
+        monkeypatch.setattr(elim, "BE_ENTRY_GUARD", 4)
+        assert run_be(g, order).logabs == pytest.approx(full)
 
 
 class TestTreeBuilder:
@@ -339,47 +348,47 @@ class TestTreeBuilder:
 
 
 class TestCheckWeights:
-    def _tree(self, direction="upper"):
+    """The weight rule, as the evaluator applies it to every update."""
+
+    def _evaluator(self, direction="upper"):
         g = random_forney_graph(6, t=1.0, seed=1)
-        return build_minibucket_tree(g, default_order(g), 2, direction)
+        tree = build_minibucket_tree(g, default_order(g), 2, direction)
+        return TreeEvaluator(tree, g.factors)
 
     def _split_var(self, tree):
         return next(ks for ks in tree.splits.values() if len(ks) > 1)
 
     def test_initial_weights_pass(self):
         for direction in ("upper", "lower"):
-            tree = self._tree(direction)
-            check_weights(tree, tree.initial_weights, direction)
+            ev = self._evaluator(direction)
+            ev.set_weights(dict(enumerate(ev.tree.initial_weights)))
 
     def test_sum_violation(self):
-        tree = self._tree()
-        ws = list(tree.initial_weights)
-        ws[self._split_var(tree)[0]] += 0.25
+        ev = self._evaluator()
+        k = self._split_var(ev.tree)[0]
         with pytest.raises(ValueError):
-            check_weights(tree, ws, "upper")
+            ev.set_weights({k: ev.weights[k] + 0.25})
 
     def test_zero_weight(self):
-        tree = self._tree()
-        ks = self._split_var(tree)
-        ws = list(tree.initial_weights)
-        ws[ks[0]] = 0.0
-        ws[ks[1]] = 1.0
+        ev = self._evaluator()
+        ks = self._split_var(ev.tree)
         with pytest.raises(ZeroWeight):
-            check_weights(tree, ws, "upper")
+            ev.set_weights({ks[0]: 0.0, ks[1]: 1.0})
 
     def test_sign_pattern_enforced(self):
-        tree = self._tree()
-        ws = list(tree.initial_weights)
-        for ks in tree.splits.values():
+        reverse = {}
+        ev = self._evaluator()
+        for ks in ev.tree.splits.values():
             if len(ks) > 1:
-                ws[ks[0]] = 1.0 + 0.5 * (len(ks) - 1)
+                reverse[ks[0]] = 1.0 + 0.5 * (len(ks) - 1)
                 for k in ks[1:]:
-                    ws[k] = -0.5
+                    reverse[k] = -0.5
         with pytest.raises(ValueError):
-            check_weights(tree, ws, "upper")
-        check_weights(tree, ws, "lower")
+            ev.set_weights(reverse)
+        lower = self._evaluator("lower")
+        lower.set_weights(reverse)
         with pytest.raises(ValueError):
-            check_weights(tree, tree.initial_weights, "lower")
+            lower.set_weights(dict(enumerate(ev.tree.initial_weights)))
 
 
 class TestBoundsAgainstBrute:
@@ -407,8 +416,7 @@ class TestBoundsAgainstBrute:
                 fresh = rng.dirichlet([2.0] * len(ks))
                 for k, w in zip(ks, fresh):
                     ws[k] = float(w)
-        check_weights(tree, ws, "upper")
-        fast = run_wmbe(g, tree, weights=ws).log_bound
+        fast = evaluator_at(tree, g.factors, ws).bound()
         assert fast == pytest.approx(brute_wmbe(g, tree, weights=ws),
                                      abs=1e-9)
 
@@ -469,7 +477,7 @@ class TestBoundOrdering:
                     for k in ks[1:]:
                         ws[k] = eps
                     ws[ks[0]] = 1.0 - eps * (len(ks) - 1)
-            val = run_wmbe(g, tree, weights=ws).log_bound
+            val = evaluator_at(tree, g.factors, ws).bound()
             gaps.append(abs(val - mbe))
         assert gaps[-1] < 1e-3
         assert gaps[0] > gaps[-1]
@@ -510,7 +518,7 @@ class TestEvaluatorIncremental:
         ev.set_weights({ks[0]: 0.7, ks[1]: 0.3})
         ws = list(tree.initial_weights)
         ws[ks[0]], ws[ks[1]] = 0.7, 0.3
-        fresh = TreeEvaluator(tree, g.factors, weights=ws)
+        fresh = evaluator_at(tree, g.factors, ws)
         assert ev.bound() == pytest.approx(fresh.bound(), rel=1e-12)
 
     def test_restore_is_exact(self, rng):
@@ -545,7 +553,7 @@ class TestEvaluatorIncremental:
         ev.set_weights({ks[0]: 0.7, ks[1]: 0.3})
         ws = list(tree.initial_weights)
         ws[ks[0]], ws[ks[1]] = 0.7, 0.3
-        assert ev.bound() == TreeEvaluator(tree, g.factors, weights=ws).bound()
+        assert ev.bound() == evaluator_at(tree, g.factors, ws).bound()
 
     # (model, ibound): 3-regular; a grid in its degree-2 form; a
     # to_forney model whose equality factors hold zeros, so some
@@ -600,7 +608,7 @@ class TestEvaluatorIncremental:
         ev = TreeEvaluator(tree, g.factors)
         factors, weights = list(g.factors), list(tree.initial_weights)
         self._random_edits(ev, factors, weights, seed=7, mode="wsum")
-        fresh = TreeEvaluator(tree, factors, weights=weights)
+        fresh = evaluator_at(tree, factors, weights)
         # the kept edits are in place and the restored ones undone
         assert len(ev.factors) == len(factors)
         assert all(x is y for x, y in zip(ev.factors, factors))
@@ -680,7 +688,7 @@ class TestEvaluatorIncremental:
             for k, w in zip(ks, ws.tolist()):
                 weights[k] = w
         np.testing.assert_array_equal(ev.weights, weights)
-        fresh = TreeEvaluator(tree, g.factors, weights=weights)
+        fresh = evaluator_at(tree, g.factors, weights)
         assert ev.bound() == fresh.bound()
 
     @pytest.mark.filterwarnings("error")

@@ -220,7 +220,7 @@ class TestApplyGauges:
         out = apply_gauges(g, {})
         assert all(x is y for x, y in zip(out.factors, g.factors))
         # variable 0 sits on factors 0 and 5 only
-        a, b = g.edge_pair(0)
+        a, b = g.var_neighbors[0]
         assert (a, b) == (0, 5)
         out = apply_gauges(g, {0: A})
         for fid in range(1, 5):
@@ -304,7 +304,7 @@ class TestReparam:
         g = cycle_model(seed=9)
         vec = np.array([0.4, -0.4])
         v = 2
-        a, b = g.edge_pair(v)
+        a, b = g.var_neighbors[v]
         out = apply_gauges(g, {v: np.diag(np.exp(vec))})
         direct_a = g.factors[a].scale_axis_log(v, vec)
         direct_b = g.factors[b].scale_axis_log(v, -vec)

@@ -120,7 +120,7 @@ class TestForney3Regular:
         assert g.num_vars == 270
         assert g.num_factors == 180
         assert all(f.arity == 3 for f in g.factors)
-        assert all(g.degree(v) == 2 for v in range(g.num_vars))
+        assert all(len(fids) == 2 for fids in g.var_neighbors)
 
     def test_small_instance(self):
         g = gen_forney_3regular(4, t=0.5, seed=1)
@@ -135,6 +135,17 @@ class TestForney3Regular:
         for i in range(4):
             shared = set(g.factors[i].scope) & set(g.factors[i + 4].scope)
             assert len(shared) == 1
+
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+    def test_bad_strength_rejected(self, t):
+        # a variance below zero would give nan tables
+        for gen in (gen_forney_3regular, gen_symmetric_forney):
+            with pytest.raises(ValueError, match="t must be"):
+                gen(6, t=t, seed=0)
+        with pytest.raises(ValueError, match="t must be"):
+            gen_ising_grid(3, 3, t=t, seed=0)
+        with pytest.raises(ValueError, match="field_sigma must be"):
+            gen_ising_grid(3, 3, t=1.0, field_sigma=t, seed=0)
 
     def test_odd_count_rejected(self):
         with pytest.raises(OddFactorCount):

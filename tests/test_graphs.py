@@ -33,7 +33,7 @@ class TestFactorGraph:
         assert g.num_factors == 3
         assert g.var_neighbors[0] == (0,)
         assert g.var_neighbors[1] == (0, 1)
-        assert g.degree(1) == 2
+        assert len(g.var_neighbors[1]) == 2
 
     def test_unreferenced_variable_rejected(self):
         f = Factor.uniform((0,), (2,))

@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+every name the package re-exports is used outside the tests.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.
+``__init__.py`` is skipped by the first check: its imports are the
+package's re-exports, which the second check covers.
 """
 
 import ast
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gmbe"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gmbe"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -36,3 +39,30 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def loaded_names(source):
+    """Names read as a bare name or as an attribute anywhere in source."""
+    tree = ast.parse(source)
+    names = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    names |= {n.attr for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return names
+
+
+def test_detects_a_name_only_imported():
+    src = "from gmbe import a, b\nimport gmbe\nprint(a, gmbe.c)\n"
+    assert loaded_names(src) == {"print", "a", "gmbe", "c"}
+
+
+def test_every_reexport_is_used_outside_tests():
+    # a public name that only tests read is API kept for the tests alone
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for folder in (SRC, ROOT / "bench", ROOT / "scripts"):
+        for path in folder.glob("*.py"):
+            used |= loaded_names(path.read_text())
+    assert sorted(exported - used) == []

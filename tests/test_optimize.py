@@ -405,11 +405,19 @@ class TestOptimizeBound:
             optimize_bound(g, tree, cfg)
         assert str(info.value) == want
 
-    def test_weights_on_lower_tree_rejected(self):
+    def test_weights_on_lower_tree_rejected(self, monkeypatch):
+        # the direction is checked before any move, so wmbe-wg does not
+        # run its gauge sweep first
+        steps = []
+        monkeypatch.setattr(optimize, "gauge_step",
+                            lambda ev, v: steps.append(v))
         g = fixture_model()
-        cfg = OptimizerConfig.for_method("wmbe-w", iterations=2)
-        with pytest.raises(ValueError):
-            optimize_bound(g, fixture_tree(g, "lower"), cfg)
+        tree = fixture_tree(g, "lower")
+        for method in ("wmbe-w", "wmbe-wtheta", "wmbe-wg"):
+            cfg = OptimizerConfig.for_method(method, iterations=2)
+            with pytest.raises(ValueError):
+                optimize_bound(g, tree, cfg)
+        assert steps == []
 
     def test_each_knob_helps_on_fixture(self):
         g = fixture_model()

@@ -20,11 +20,10 @@ from gmbe import (
     default_order,
     induced_width,
     run_be,
-    run_wmbe,
 )
 from gmbe.errors import BudgetExceeded
 
-from conftest import random_forney_graph, random_pairwise_graph
+from conftest import evaluator_at, random_forney_graph, random_pairwise_graph
 from oracles import (
     NonFiniteEvaluation,
     brute_aux_marginals,
@@ -208,6 +207,6 @@ class TestBruteAuxMarginals:
                 fresh = rng.dirichlet([3.0] * len(ks))
                 for k, w in zip(ks, fresh):
                     ws[k] = float(w)
-        fast = run_wmbe(g, tree, weights=ws).log_bound
+        fast = evaluator_at(tree, g.factors, ws).bound()
         assert fast == pytest.approx(brute_wmbe(g, tree, weights=ws),
                                      abs=1e-9)
