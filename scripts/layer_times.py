@@ -16,8 +16,8 @@ least 3):
   ``weight_step`` and ``reparam_step``, each on a fresh
   ``TreeEvaluator`` built outside the timed region.
 
-It prints one line per layer and records the core count and the Python,
-numpy and scipy versions.  Quote it before and after a change to one
+It prints one line per layer and records the core count and the Python
+and numpy versions.  Quote it before and after a change to one
 layer, run at each commit:
 
     PYTHONPATH=src python3 scripts/layer_times.py --out BENCH_<label>.json
@@ -32,7 +32,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from gmbe import (
     TreeEvaluator,
@@ -142,14 +141,12 @@ def main(argv=None):
         "cores": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "repeats": args.repeats,
         "grids": [time_layers(n, args.ibound, args.repeats)
                   for n in args.sizes],
     }
     print(f"{report['cores']} cores, Python {report['python']}, numpy "
-          f"{report['numpy']}, scipy {report['scipy']}, median of "
-          f"{args.repeats} runs")
+          f"{report['numpy']}, median of {args.repeats} runs")
     for grid in report["grids"]:
         for layer, t in grid["median_s_per_call"].items():
             shown = f"{t * 1e3:12.4f} ms" if isinstance(t, float) else t

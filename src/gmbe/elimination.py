@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     IboundTooSmall,
@@ -58,10 +57,11 @@ def _checked_order(order, num_vars):
 def _lse_axis(a, axis, w=1.0):
     """Log power sum ``w * log sum exp(a / w)`` over one axis.
 
-    The one elimination kernel: at weight 1 it is a plain logsumexp and
-    skips the scaling.  A slice whose maximum is not finite (all -inf,
-    or +inf after a negative weight) goes to scipy's logsumexp, which
-    tolerates infinite entries.
+    The one elimination kernel: at weight 1 it is a plain log-sum-exp
+    and skips the scaling.  If some slice's maximum is not finite (all
+    -inf, or +inf after a negative weight), the whole table goes to
+    ``signed_sum_axes`` with every sign 1, which tolerates infinite
+    entries and equals ``scipy.special.logsumexp(a, axis)`` bitwise.
     """
     if w != 1.0:
         a = a / w
@@ -70,8 +70,7 @@ def _lse_axis(a, axis, w=1.0):
         s = np.add.reduce(np.exp(a - m), axis=axis)
         out = np.log(s) + m.reshape(s.shape)
     else:
-        with np.errstate(invalid="ignore"):
-            out = logsumexp(a, axis=axis)
+        out = signed_sum_axes(np.ones_like(a), a, axis)[1]
     return out if w == 1.0 else w * out
 
 
@@ -174,8 +173,6 @@ def run_be(g, order):
     pos = {v: k for k, v in enumerate(order)}
     buckets = [[] for _ in order]
     for f in g.factors:
-        if f.arity == 0:
-            raise ValueError("empty-scope factor")
         buckets[min(pos[v] for v in f.scope)].append(f)
     const_sign, const_log = 1.0, 0.0
     cards = g.cards

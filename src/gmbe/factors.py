@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 class SignedLog(NamedTuple):
@@ -32,7 +31,7 @@ def _normalize_pair(sign, logmag):
     """Enforce sign == 0 <=> logmag == -inf on an array pair."""
     sign = np.asarray(sign, dtype=np.float64)
     logmag = np.asarray(logmag, dtype=np.float64)
-    dead = (sign == 0.0) | np.isneginf(logmag)
+    dead = (sign == 0.0) | (logmag == -np.inf)
     if dead.any():
         sign = np.where(dead, 0.0, sign)
         logmag = np.where(dead, -np.inf, logmag)
@@ -135,20 +134,58 @@ def expand_to(arr, scope, union_scope):
 
 
 def product_over(factors, union_scope, union_cards):
-    """Sign and log-magnitude of the product, broadcast to a full table."""
+    """Sign and log-magnitude of the product, as full C-ordered tables.
+
+    The first factor is broadcast into the tables and the others
+    multiply in place; no factors give the empty product, sign 1 and
+    log 0.
+    """
     shape = tuple(union_cards)
-    sign = np.ones(shape)
-    logmag = np.zeros(shape)
-    for f in factors:
-        sign = sign * expand_to(f.sign, f.scope, union_scope)
-        logmag = logmag + expand_to(f.logmag, f.scope, union_scope)
+    if not factors:
+        return np.ones(shape), np.zeros(shape)
+    sign, logmag = np.empty(shape), np.empty(shape)
+    first, *rest = factors
+    np.copyto(sign, expand_to(first.sign, first.scope, union_scope))
+    np.copyto(logmag, expand_to(first.logmag, first.scope, union_scope))
+    for f in rest:
+        sign *= expand_to(f.sign, f.scope, union_scope)
+        logmag += expand_to(f.logmag, f.scope, union_scope)
     return _normalize_pair(sign, logmag)
 
 
 def signed_sum_axes(sign, logmag, axes):
-    """Signed log-domain sum over the given axes."""
-    out_log, out_sign = logsumexp(logmag, axis=axes, b=sign, return_sign=True)
-    return _normalize_pair(out_sign, out_log)
+    """Signed log-domain sum over the given axes, as (sign, log|sum|).
+
+    Wherever ``sign`` is 0, ``logmag`` must be -inf, as ``Factor`` and
+    ``product_over`` guarantee.  The arithmetic is that of
+    ``scipy.special.logsumexp(logmag, axes, b=sign, return_sign=True)``,
+    step for step, so the result is bitwise equal to it: the entries at
+    the slice maximum are counted with their signs, the others are
+    summed as ``sign * exp(logmag - max)``, and the two are combined
+    through ``log1p``.  A slice whose result is not finite (all zero,
+    or cancelling at the maximum) takes the direct ``log|sum sign *
+    exp(logmag)|``; that sum is only computed when some slice needs it.
+    """
+    a_max = logmag.max(axis=axes, keepdims=True)
+    at_max = logmag == a_max
+    m = np.add.reduce(sign * at_max, axis=axes, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.exp(logmag - a_max)
+        terms *= ~at_max
+        terms *= sign
+        s = np.add.reduce(terms, axis=axes, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out_sign = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out_log = np.log1p(s) + np.log(np.abs(m)) + a_max
+        finite = np.isfinite(out_log)
+        if not finite.all():
+            direct = np.add.reduce(sign * np.exp(logmag), axis=axes,
+                                   keepdims=True)
+            out_log = np.where(finite, out_log, np.log(np.abs(direct)))
+            out_sign = np.where(finite, out_sign, np.sign(direct))
+    return _normalize_pair(np.squeeze(out_sign, axis=axes),
+                           np.squeeze(out_log, axis=axes))
 
 
 def multiply_factors(factors):

@@ -23,8 +23,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, GenerationFailed, SingularGaugeStep
+from .errors import (
+    DegreeViolation,
+    DimensionMismatch,
+    GenerationFailed,
+    SingularGaugeStep,
+)
 from .factors import Factor
+
+RANDOM_COND_LIMIT = 1e3    # largest condition number random_valid_gauges keeps
+RANDOM_MAX_ATTEMPTS = 100  # its draws per variable before it gives up
 
 
 def gauge_transform_factor(f, matrices):
@@ -83,7 +91,10 @@ def apply_gauges(g, gauges):
             raise DimensionMismatch(
                 f"matrix for var {v} has shape {np.shape(mat)}, need {(d, d)}"
             )
-        a, b = g.var_neighbors[v]
+        fids = g.var_neighbors[v]
+        if len(fids) != 2:
+            raise DegreeViolation([(v, len(fids))])
+        a, b = fids
         sides[a][v], sides[b][v] = gauge_pair(mat)
     new_factors = []
     for f, mats in zip(g.factors, sides):
@@ -92,25 +103,25 @@ def apply_gauges(g, gauges):
     return type(g)(g.cards, tuple(new_factors))
 
 
-def random_valid_gauges(g, scale, seed=0, cond_limit=1e3, max_attempts=100):
+def random_valid_gauges(g, scale, seed=0):
     """Random perturbations of the identity on every variable.
 
     Free-edge matrices are I + scale * U(-1, 1) entries, resampled (up
-    to ``max_attempts`` per variable) until the condition number is
-    below ``cond_limit`` so the partner edge inverts stably.
+    to ``RANDOM_MAX_ATTEMPTS`` per variable) until the condition number is
+    below ``RANDOM_COND_LIMIT`` so the partner edge inverts stably.
     """
     rng = np.random.default_rng(seed)
     gauges = {}
     for v in range(g.num_vars):
         d = g.cards[v]
-        for _ in range(max_attempts):
+        for _ in range(RANDOM_MAX_ATTEMPTS):
             mat = np.eye(d) + scale * rng.uniform(-1.0, 1.0, size=(d, d))
-            if np.linalg.cond(mat) < cond_limit:
+            if np.linalg.cond(mat) < RANDOM_COND_LIMIT:
                 gauges[v] = mat
                 break
         else:
             raise GenerationFailed(
                 f"no well-conditioned matrix for var {v} "
-                f"after {max_attempts} attempts"
+                f"after {RANDOM_MAX_ATTEMPTS} attempts"
             )
     return gauges

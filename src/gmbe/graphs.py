@@ -34,6 +34,8 @@ class FactorGraph:
         n = len(self.cards)
         seen = np.zeros(n, dtype=bool)
         for i, f in enumerate(self.factors):
+            if not f.scope:
+                raise ValueError(f"factor {i} has an empty scope")
             for v, c in zip(f.scope, f.cards):
                 if not 0 <= v < n:
                     raise ValueError(f"factor {i} references unknown var {v}")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .factors import SignedLog, product_over
 
-MAX_STATES = 2 ** 20    # default cap on the joint states enumeration visits
+MAX_STATES = 2 ** 20    # cap on the joint states enumeration visits
 
 
 def _states_or_raise(cards, budget):
@@ -29,14 +29,15 @@ def _states_or_raise(cards, budget):
     return states
 
 
-def brute_z(g, budget=MAX_STATES):
+def brute_z(g):
     """Exact partition function by enumeration, as (sign, log|Z|).
 
+    A model above ``MAX_STATES`` joint states raises BudgetExceeded.
     The mantissa sum runs through math.fsum, so cancellation between
     positive and negative terms costs no precision and the reduction
     order is fixed regardless of table layout.
     """
-    _states_or_raise(g.cards, budget)
+    _states_or_raise(g.cards, MAX_STATES)
     scope = tuple(range(g.num_vars))
     sign, logmag = product_over(g.factors, scope, g.cards)
     m = float(np.max(logmag))

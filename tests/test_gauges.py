@@ -17,9 +17,16 @@ from gmbe import (
     brute_z,
     gauge_pair,
     gauge_transform_factor,
+    gen_ising_grid,
     random_valid_gauges,
 )
-from gmbe.errors import DimensionMismatch, GenerationFailed, SingularGaugeStep
+from gmbe import gauges as gauges_module
+from gmbe.errors import (
+    DegreeViolation,
+    DimensionMismatch,
+    GenerationFailed,
+    SingularGaugeStep,
+)
 
 A = np.array([[0.75, 0.25], [0.25, 0.75]])
 B = np.array([[1.5, -0.5], [-0.5, 1.5]])
@@ -237,6 +244,14 @@ class TestApplyGauges:
             brute_z(g).logabs, rel=1e-12
         )
 
+    def test_variable_off_degree_two_is_named(self):
+        # variable 0 of a 2x2 spin grid sits on three factors
+        g = gen_ising_grid(2, 2, 1.0, seed=0)
+        with pytest.raises(DegreeViolation) as err:
+            apply_gauges(g, {0: np.eye(2)})
+        assert err.value.violations == [(0, len(g.var_neighbors[0]))]
+        assert "var 0" in str(err.value)
+
     def test_wrong_shape_raises(self):
         g = cycle_model()
         with pytest.raises(DimensionMismatch):
@@ -284,10 +299,12 @@ class TestRandomValidGauges:
         for mat in gauges.values():
             assert np.linalg.cond(mat) < 1e3
 
-    def test_generation_failed_when_impossible(self):
+    def test_generation_failed_when_impossible(self, monkeypatch):
+        monkeypatch.setattr(gauges_module, "RANDOM_COND_LIMIT", 1.0 + 1e-9)
+        monkeypatch.setattr(gauges_module, "RANDOM_MAX_ATTEMPTS", 3)
         g = cycle_model()
-        with pytest.raises(GenerationFailed):
-            random_valid_gauges(g, scale=1e9, seed=0, cond_limit=1.0 + 1e-9)
+        with pytest.raises(GenerationFailed, match="after 3 attempts"):
+            random_valid_gauges(g, scale=1e9, seed=0)
 
 
 class TestReparam:

@@ -40,6 +40,11 @@ class TestFactorGraph:
         with pytest.raises(ValueError):
             FactorGraph((2, 2), (f,))
 
+    def test_empty_scope_rejected(self):
+        empty = Factor((), (), np.ones(()), np.zeros(()))
+        with pytest.raises(ValueError, match="factor 1 has an empty scope"):
+            FactorGraph((2,), (Factor.uniform((0,), (2,)), empty))
+
     def test_card_mismatch_rejected(self):
         f = Factor.uniform((0,), (3,))
         with pytest.raises(ValueError):

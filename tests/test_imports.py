@@ -1,11 +1,15 @@
-"""Every name a library module imports is used in that module, and
-every name the package re-exports is used outside the tests.
+"""Every name a library module imports is used in that module, every
+name the package re-exports is used outside the tests, and the package
+needs nothing beyond numpy.
 
 ``__init__.py`` is skipped by the first check: its imports are the
 package's re-exports, which the second check covers.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,12 @@ def test_every_reexport_is_used_outside_tests():
         for path in folder.glob("*.py"):
             used |= loaded_names(path.read_text())
     assert sorted(exported - used) == []
+
+
+def test_package_does_not_import_scipy():
+    code = ("import sys, gmbe, gmbe.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert proc.stdout.strip() == "[]"
