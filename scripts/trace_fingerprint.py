@@ -17,10 +17,20 @@ at two commits to check that a refactor leaves every order, tree,
 bound, gauged table and exact value bitwise equal:
 
     PYTHONPATH=src python3 scripts/trace_fingerprint.py
+
+To see which results moved and by how much, write ``--dump`` at each
+commit and compare the two files; this computes nothing:
+
+    PYTHONPATH=src python3 scripts/trace_fingerprint.py --diff OLD NEW
+
+It prints each changed result's name with the largest |Δ| of its
+floats, or ``text`` for an order, a tree, an exception name or a list
+whose length changed, then ``N of M results differ, max |Δ| X``.
 """
 
 import argparse
 import hashlib
+import re
 import warnings
 
 from gmbe import (
@@ -111,11 +121,65 @@ def results():
         yield f"grid-{n}x{n} order", " ".join(map(str, default_order(g)))
 
 
+# one token of a result written as float.hex values
+_HEX_FLOAT = re.compile(r"-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[+-]\d+|inf|nan)")
+
+
+def _read_dump(path):
+    """{name: list of floats, or the payload text} of a --dump file."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            name, sep, payload = line.rstrip("\n").partition(": ")
+            if not sep:
+                continue  # the closing sha1 line
+            tokens = payload.split()
+            if all(_HEX_FLOAT.fullmatch(t) for t in tokens):
+                out[name] = [float.fromhex(t) for t in tokens]
+            else:
+                out[name] = payload
+    return out
+
+
+def _delta(a, b):
+    """|a - b|, 0 for equal values (nan to nan included)."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    d = abs(a - b)
+    return d if d == d else float("inf")
+
+
+def diff(old_path, new_path):
+    """Print the results that differ between two --dump files."""
+    old, new = _read_dump(old_path), _read_dump(new_path)
+    names = list(dict.fromkeys([*old, *new]))
+    changed, worst = 0, 0.0
+    for name in names:
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            continue
+        changed += 1
+        if (isinstance(a, list) and isinstance(b, list)
+                and len(a) == len(b)):
+            d = max(_delta(x, y) for x, y in zip(a, b))
+            worst = max(worst, d)
+            print(f"{name}: max |Δ| {d:.2g}")
+        else:
+            print(f"{name}: text")
+    print(f"{changed} of {len(names)} results differ, "
+          f"max |Δ| {worst:.2g}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dump", action="store_true",
                     help="also print every result line that is hashed")
+    ap.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two --dump files instead of running")
     args = ap.parse_args(argv)
+    if args.diff:
+        diff(*args.diff)
+        return
     digest = hashlib.sha1()
     count = 0
     with warnings.catch_warnings():

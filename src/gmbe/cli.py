@@ -106,6 +106,15 @@ def _lower_unsupported(method, lower):
     return False
 
 
+def _negative_iters(iters):
+    """Report a negative --iters; True if so."""
+    if iters < 0:
+        print(f"error: --iters must be non-negative, got {iters}",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def _compute_bound(g, fg, tree, method, iters):
     """``method``'s bound on ``fg`` over ``tree``; be is exact on ``g``."""
     if method == "be":
@@ -166,6 +175,8 @@ def _json_float(x):
 
 
 def cmd_bound(args):
+    if _negative_iters(args.iters):
+        return EXIT_USAGE
     g = read_uai_file(args.model_file)
     if _lower_unsupported(args.method, args.lower):
         return EXIT_USAGE
@@ -203,6 +214,8 @@ def cmd_bound(args):
 
 
 def cmd_verify(args):
+    if _negative_iters(args.iters):
+        return EXIT_USAGE
     methods = []
     for method in args.methods.split(","):
         method = method.strip()
@@ -334,6 +347,8 @@ def cmd_sweep(args):
     except ValueError:
         print(f"error: bad --t-range {args.t_range!r}, want start:stop:step",
               file=sys.stderr)
+        return EXIT_USAGE
+    if _negative_iters(args.iters):
         return EXIT_USAGE
     methods = tuple(m.strip() for m in args.methods.split(","))
     for m in methods:

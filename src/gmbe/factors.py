@@ -159,12 +159,17 @@ def signed_sum_axes(sign, logmag, axes):
     Wherever ``sign`` is 0, ``logmag`` must be -inf, as ``Factor`` and
     ``product_over`` guarantee.  The arithmetic is that of
     ``scipy.special.logsumexp(logmag, axes, b=sign, return_sign=True)``,
-    step for step, so the result is bitwise equal to it: the entries at
-    the slice maximum are counted with their signs, the others are
-    summed as ``sign * exp(logmag - max)``, and the two are combined
-    through ``log1p``.  A slice whose result is not finite (all zero,
-    or cancelling at the maximum) takes the direct ``log|sum sign *
+    step for step, so the result is bitwise equal to it wherever
+    scipy's direct sum below does not overflow: the entries at the slice
+    maximum are counted with their signs, the others are summed as
+    ``sign * exp(logmag - max)``, and the two are combined through
+    ``log1p``.  A slice whose result is not finite (all zero, or
+    cancelling at the maximum) takes the direct ``log|sum sign *
     exp(logmag)|``; that sum is only computed when some slice needs it.
+    Where the direct sum is not finite but the slice maximum is (entries
+    past about 709 that cancel at the maximum), scipy returns NaN; that
+    slice is summed shifted instead, as ``log|sum sign * exp(logmag -
+    max)| + max``.
     """
     a_max = logmag.max(axis=axes, keepdims=True)
     at_max = logmag == a_max
@@ -184,6 +189,13 @@ def signed_sum_axes(sign, logmag, axes):
                                    keepdims=True)
             out_log = np.where(finite, out_log, np.log(np.abs(direct)))
             out_sign = np.where(finite, out_sign, np.sign(direct))
+            redo = ~finite & ~np.isfinite(direct) & np.isfinite(a_max)
+            if redo.any():
+                shifted = np.add.reduce(sign * np.exp(logmag - a_max),
+                                        axis=axes, keepdims=True)
+                out_log = np.where(redo, np.log(np.abs(shifted)) + a_max,
+                                   out_log)
+                out_sign = np.where(redo, np.sign(shifted), out_sign)
     return _normalize_pair(np.squeeze(out_sign, axis=axes),
                            np.squeeze(out_log, axis=axes))
 

@@ -15,13 +15,20 @@ Three families of moves, all preserving the true partition function:
 * reparameterization steps: the diagonal special case, driven by the
   mismatch of the two adjacent marginals of the auxiliary distribution.
 
+Weight and reparameterization sweeps visit only split variables, those
+with two or more mini-buckets, in elimination order.  At a variable
+with one mini-bucket no weight can move, and a rescaling cannot change
+the bound: every power sum is 1-homogeneous under a positive rescaling
+of its table, so +theta on one factor and -theta on the other ride up
+their chains unchanged and cancel in the variable's one mini-bucket.
+
 All three run through one accept loop: a candidate is evaluated and
 kept only if the bound did not get worse, else it is restored and the
 step halved for another try (a bounded number of times; weight moves
 get a single try), so emitted traces are monotone by construction,
-whatever the gradient quality.  For lower-direction trees the same moves run with the signs
-flipped: candidates ascend and are kept only if the bound did not
-decrease.
+whatever the gradient quality.  For lower-direction trees the same
+moves run with the signs flipped: candidates ascend and are kept only
+if the bound did not decrease.
 """
 
 from __future__ import annotations
@@ -64,6 +71,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        n = self.iterations
+        if type(n) is not int or n < 0:
+            raise ValueError(
+                f"iterations must be a non-negative int, got {n!r}")
 
     @classmethod
     def for_method(cls, method, **overrides):
@@ -96,6 +107,15 @@ def _accept(ev, apply, mu, tries):
             ev.restore(token)
         mu *= BACKTRACK_FACTOR
     return False
+
+
+def _split_vars(tree):
+    """(v, mini-bucket ids) of each variable with two or more
+    mini-buckets, in ``tree.order``."""
+    for v in tree.order:
+        ks = tree.splits[v]
+        if len(ks) >= 2:
+            yield v, ks
 
 
 def _cavity_term(ev, fid, v, memo):
@@ -181,15 +201,18 @@ def reparam_gradient(ev, v):
 
 
 def reparam_step(ev):
-    """One accepted sweep of diagonal rescaling over all variables.
+    """One accepted sweep of diagonal rescaling over the split variables.
 
-    Per variable, both adjacent factors absorb opposite log-scale
-    vectors proportional to the marginal mismatch; monotone acceptance
-    with halving as for transform steps.  Returns whether any variable's
-    move was accepted.
+    Per split variable, in ``tree.order``, both adjacent factors absorb
+    opposite log-scale vectors proportional to the marginal mismatch;
+    monotone acceptance with halving as for transform steps.  A variable
+    with one mini-bucket is skipped: the opposite rescalings cancel in
+    that mini-bucket, so its move cannot change the bound (see the
+    module docstring).  Returns whether any variable's move was
+    accepted.
     """
     any_accepted = False
-    for v in ev.tree.order:
+    for v, _ in _split_vars(ev.tree):
         grad = reparam_gradient(ev, v)
         a, b = _edge_pair(ev, v)
         fa, fb = ev.factors[a], ev.factors[b]
@@ -217,9 +240,7 @@ def weight_step(ev):
     if ev.tree.direction != "upper":
         raise ValueError("weight steps require an upper-direction tree")
     any_accepted = False
-    for v, ks in ev.tree.splits.items():
-        if len(ks) < 2:
-            continue
+    for v, ks in _split_vars(ev.tree):
         w = np.array([ev.weights[k] for k in ks])
         grad = ev.weight_gradient(ks)
 
@@ -238,7 +259,7 @@ def optimize_bound(g, tree, config):
 
     Each iteration runs the moves ``METHODS`` names for the method:
     transform steps over all variables, then weight steps, then
-    reparameterization steps.  The
+    reparameterization steps, both over the split variables.  The
     trace holds the bound after every iteration and is monotone for the
     tree's direction because every move is accept-only.  The
     evaluator holds the working model (``factors``) and the final

@@ -119,6 +119,26 @@ class TestGen:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["bound", "verify", "sweep"])
+def test_negative_iters_is_usage_error(command, tmp_path, capsys):
+    path = gen_small_forney(tmp_path, capsys)
+    out = tmp_path / "x.csv"
+    argv = {
+        "bound": ["bound", str(path), "--method", "wmbe-theta",
+                  "--ibound", "2"],
+        "verify": ["verify", str(path), "--methods", "wmbe-theta",
+                   "--ibound", "2"],
+        "sweep": ["sweep", "--model", "ising-grid", "--rows", "3",
+                  "--cols", "3", "--t-range", "0.5:0.5:0.5", "--trials",
+                  "1", "--methods", "wmbe-theta", "-o", str(out)],
+    }[command]
+    code, stdout, err = run_cli([*argv, "--iters", "-3"], capsys)
+    assert code == EXIT_USAGE
+    assert err == "error: --iters must be non-negative, got -3\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 class TestBound:
     def test_exact_method_matches_enumeration(self, tmp_path, capsys):
         path = gen_small_grid(tmp_path, capsys)

@@ -181,6 +181,20 @@ class TestCombination:
                 sign, logmag = signed_table(vals, offset)
                 assert_matches_fsum(sign, logmag, (np.ndim(vals) - 1,))
 
+    @pytest.mark.parametrize("sign,logmag,want", [
+        ([1.0, -1.0, 1.0], [800.0, 800.0, 799.0], (1.0, 799.0)),
+        ([1.0, -1.0, -1.0], [800.0, 800.0, 799.0], (-1.0, 799.0)),
+        ([1.0, -1.0], [800.0, 800.0], (0.0, -np.inf)),
+    ], ids=["rest-positive", "rest-negative", "exact"])
+    def test_signed_sum_cancellation_past_overflow(self, sign, logmag, want):
+        # exp(800) overflows, so the direct sum is inf - inf; the slice
+        # must be summed shifted by its maximum
+        sign, logmag = np.array(sign), np.array(logmag)
+        assert_matches_fsum(sign, logmag, (0,))
+        got_sign, got_log = signed_sum_axes(sign, logmag, (0,))
+        assert got_sign == want[0]
+        assert got_log == pytest.approx(want[1], abs=log_atol(800.0))
+
     @pytest.mark.parametrize("offset", OFFSETS)
     @pytest.mark.parametrize("vals,axes", [
         *[(RANDOM_VALS, (ax,)) for ax in range(3)],

@@ -37,7 +37,7 @@ from gmbe.optimize import (
     weight_step,
 )
 
-from conftest import random_forney_from_pairwise
+from conftest import random_forney_from_pairwise, random_pairwise_graph
 from oracles import brute_aux_marginals, fd_gradient, tree_wmbe
 
 METHODS = ("wmbe", "wmbe-w", "wmbe-theta", "wmbe-wtheta", "wmbe-g",
@@ -92,6 +92,13 @@ class TestConfig:
         assert OptimizerConfig("wmbe-g").iterations == 150
         with pytest.raises(ValueError):
             OptimizerConfig("wmbe-x")
+
+    @pytest.mark.parametrize("iterations", [-2, -1, 2.5, 3.0, "3", True,
+                                            None])
+    def test_iterations_must_be_non_negative_int(self, iterations):
+        with pytest.raises(ValueError, match="non-negative int"):
+            OptimizerConfig("wmbe-g", iterations=iterations)
+        assert OptimizerConfig("wmbe-g", iterations=0).iterations == 0
 
 
 class TestGaugeGradient:
@@ -345,6 +352,68 @@ class TestReparamStep:
         got = run_be(FactorGraph(g.cards, tuple(ev.factors)), order)
         assert got.logabs == pytest.approx(z0, abs=1e-10)
 
+    @staticmethod
+    def unsplit(tree):
+        return [v for v in tree.order if len(tree.splits[v]) == 1]
+
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    def test_unsplit_rescaling_leaves_bound(self, direction):
+        # the skip rests on this: at a variable with one mini-bucket,
+        # +theta on one factor and -theta on the other cancel there,
+        # zero entries and a -inf bound included
+        rng = np.random.default_rng(13)
+        cases = [(ising_to_forney(gen_ising_grid(6, 6, 1.0, seed=0)), 4)]
+        cases += [(fixture_model(8, seed), 2) for seed in range(2)]
+        for seed in range(4):
+            g, _ = to_forney(random_pairwise_graph(8, 12, seed, card=3))
+            cases.append((g, max(f.arity for f in g.factors)))
+        moved = neginf = 0
+        for g, ibound in cases:
+            tree = fixture_tree(g, direction, ibound)
+            before = TreeEvaluator(tree, g.factors).bound()
+            for _ in range(3):
+                factors = list(g.factors)
+                for v in self.unsplit(tree):
+                    a, b = tree.var_factors[v]
+                    theta = rng.normal(size=g.cards[v])
+                    factors[a] = factors[a].scale_axis_log(v, theta)
+                    factors[b] = factors[b].scale_axis_log(v, -theta)
+                    moved += 1
+                after = TreeEvaluator(tree, factors).bound()
+                if before == -np.inf:
+                    assert after == -np.inf
+                    neginf += 1
+                else:
+                    assert after == pytest.approx(before, rel=1e-12)
+        assert moved > 0
+        if direction == "lower":
+            assert neginf > 0
+
+    def test_gradient_only_at_split_variables(self, monkeypatch):
+        g = ising_to_forney(gen_ising_grid(6, 6, 1.0, seed=0))
+        tree = fixture_tree(g, ibound=4)
+        calls = []
+
+        def recording(ev, v):
+            calls.append(v)
+            return reparam_gradient(ev, v)
+
+        monkeypatch.setattr(optimize, "reparam_gradient", recording)
+        reparam_step(TreeEvaluator(tree, g.factors))
+        split = [v for v in tree.order if len(tree.splits[v]) >= 2]
+        assert self.unsplit(tree) and split
+        assert calls == split
+
+    def test_no_splits_nothing_to_do(self):
+        g = fixture_model(6, seed=1)
+        order = default_order(g)
+        from gmbe import induced_width
+        tree = build_minibucket_tree(g, order, induced_width(g, order))
+        ev = TreeEvaluator(tree, g.factors)
+        factors_before = list(ev.factors)
+        assert reparam_step(ev) is False
+        assert all(f1 is f2 for f1, f2 in zip(factors_before, ev.factors))
+
 
 class TestAuxMarginals:
     @pytest.mark.parametrize("direction", ["upper", "lower"])
@@ -404,6 +473,18 @@ class TestOptimizeBound:
         with pytest.raises(NumericalUnderflow) as info:
             optimize_bound(g, tree, cfg)
         assert str(info.value) == want
+
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    def test_zero_partition_function_without_splits(self, direction):
+        # Z = 0 and no split variable: the bound is exactly -inf and no
+        # rescaling move runs, so nothing asks for its beliefs
+        g = FactorGraph((2, 2), (
+            Factor.equality((0, 1), 2),
+            Factor.from_linear((0, 1), (2, 2), [[0.0, 1.0], [1.0, 0.0]])))
+        tree = fixture_tree(g, direction)
+        cfg = OptimizerConfig.for_method("wmbe-theta", iterations=3)
+        res, _ = optimize_bound(g, tree, cfg)
+        assert res.trace == (-np.inf,) * 4
 
     def test_weights_on_lower_tree_rejected(self, monkeypatch):
         # the direction is checked before any move, so wmbe-wg does not

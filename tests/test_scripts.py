@@ -39,3 +39,36 @@ def test_script_runs(args, line, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert any(re.fullmatch(line, out.strip())
                for out in proc.stdout.splitlines()), proc.stdout
+
+
+def test_fingerprint_diff(tmp_path):
+    # two hand-written --dump files: one trace moves, one order and one
+    # error name change, a -inf entry and an empty trace stay
+    old = tmp_path / "old.txt"
+    new = tmp_path / "new.txt"
+    old.write_text(
+        "m order: 0 2 1\n"
+        "m upper wmbe: 0x1.0000000000000p+1 -inf\n"
+        "m upper wmbe-theta: 0x1.0000000000000p+1 0x1.0000000000000p+0\n"
+        "m lower wmbe-g: ValueError\n"
+        "m empty: \n"
+        "5 results sha1 0123\n")
+    new.write_text(
+        "m order: 0 1 2\n"
+        "m upper wmbe: 0x1.0000000000000p+1 -inf\n"
+        "m upper wmbe-theta: 0x1.0000000000000p+1 0x1.8000000000000p+0\n"
+        "m lower wmbe-g: NumericalUnderflow\n"
+        "m empty: \n"
+        "5 results sha1 4567\n")
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "trace_fingerprint.py"),
+         "--diff", str(old), str(new)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "m order: text",
+        "m upper wmbe-theta: max |Δ| 0.5",
+        "m lower wmbe-g: text",
+        "3 of 5 results differ, max |Δ| 0.5",
+    ]
