@@ -127,8 +127,8 @@ def time_layers(n, ibound, repeats):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=[10, 24],
-                    help="grid side lengths (default: 10 24)")
+    ap.add_argument("--sizes", type=int, nargs="+", default=[10, 12, 24],
+                    help="grid side lengths (default: 10 12 24)")
     ap.add_argument("--ibound", type=int, default=4)
     ap.add_argument("--repeats", type=int, default=5,
                     help="timed runs per layer, at least 3 (default: 5)")

@@ -29,9 +29,11 @@ re-enumerates.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .errors import (
     WidthExceeded,
     ZeroWeight,
 )
-from .factors import Factor, product_over, signed_sum_axes, SignedLog
+from .factors import product_over, signed_sum_axes, SignedLog
 
 BE_ENTRY_GUARD = 2 ** 24
 
@@ -60,7 +62,7 @@ def _lse_axis(a, axis, w=1.0):
     The one elimination kernel: at weight 1 it is a plain log-sum-exp
     and skips the scaling.  If some slice's maximum is not finite (all
     -inf, or +inf after a negative weight), the whole table goes to
-    ``signed_sum_axes`` with every sign 1, which tolerates infinite
+    ``signed_sum_axes`` with no sign table, which tolerates infinite
     entries and equals ``scipy.special.logsumexp(a, axis)`` bitwise.
     """
     if w != 1.0:
@@ -70,7 +72,7 @@ def _lse_axis(a, axis, w=1.0):
         s = np.add.reduce(np.exp(a - m), axis=axis)
         out = np.log(s) + m.reshape(s.shape)
     else:
-        out = signed_sum_axes(np.ones_like(a), a, axis)[1]
+        out = signed_sum_axes(None, a, axis)[1]
     return out if w == 1.0 else w * out
 
 
@@ -162,39 +164,57 @@ def default_order(g):
     return tuple(order)
 
 
+class _Table(NamedTuple):
+    """A table of ``run_be``: ``sign`` is None if no entry is negative."""
+
+    scope: tuple
+    sign: np.ndarray | None
+    logmag: np.ndarray
+
+
 def run_be(g, order):
     """Exact log partition function by bucket elimination.
 
     Returns a SignedLog so models whose transformed tables carry
     negative entries still evaluate exactly (signed log-domain sums).
     A bucket table above ``BE_ENTRY_GUARD`` entries raises WidthExceeded.
+
+    A table with no negative entry carries no sign table, so a bucket
+    whose tables are all sign-free only adds log tables and sums them;
+    its message is sign-free too.  A bucket with a signed member works
+    with signs, and its message drops them again if no entry came out
+    negative.  Each bucket is dropped once it has been eliminated.
     """
     order = _checked_order(order, g.num_vars)
     pos = {v: k for k, v in enumerate(order)}
     buckets = [[] for _ in order]
     for f in g.factors:
-        buckets[min(pos[v] for v in f.scope)].append(f)
+        sign = f.sign if (f.sign < 0).any() else None
+        buckets[min(pos[v] for v in f.scope)].append(
+            _Table(f.scope, sign, f.logmag))
     const_sign, const_log = 1.0, 0.0
     cards = g.cards
     for k, v in enumerate(order):
-        group = buckets[k]
-        union = sorted({u for f in group for u in f.scope})
-        entries = int(np.prod([cards[u] for u in union]))
-        if entries > BE_ENTRY_GUARD:
+        group, buckets[k] = buckets[k], None
+        union = sorted({u for t in group for u in t.scope})
+        if math.prod(cards[u] for u in union) > BE_ENTRY_GUARD:
             raise WidthExceeded(len(union) - 1, BE_ENTRY_GUARD)
         sign, logmag = product_over(group, union,
                                     tuple(cards[u] for u in union))
-        ax = union.index(v)
-        out_sign, out_log = signed_sum_axes(sign, logmag, ax)
-        rest = [u for u in union if u != v]
+        out_sign, out_log = signed_sum_axes(sign, logmag, union.index(v))
+        del group, sign, logmag
+        rest = tuple(u for u in union if u != v)
         if not rest:
-            const_sign *= float(out_sign)
-            const_log += float(out_log)
-            if const_sign == 0.0:
+            if out_log == -np.inf:
                 return SignedLog(0.0, -np.inf)
+            if out_sign is not None:
+                const_sign *= float(out_sign)
+            const_log += float(out_log)
             continue
-        nf = Factor(tuple(rest), tuple(cards[u] for u in rest), out_sign, out_log)
-        buckets[min(pos[u] for u in rest)].append(nf)
+        if out_sign is not None and not (out_sign < 0).any():
+            out_sign = None
+        buckets[min(pos[u] for u in rest)].append(
+            _Table(rest, out_sign, out_log))
     return SignedLog(const_sign, const_log)
 
 

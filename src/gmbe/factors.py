@@ -133,23 +133,35 @@ def expand_to(arr, scope, union_scope):
     return moved.reshape(shape)
 
 
-def product_over(factors, union_scope, union_cards):
+def product_over(tables, union_scope, union_cards):
     """Sign and log-magnitude of the product, as full C-ordered tables.
 
-    The first factor is broadcast into the tables and the others
-    multiply in place; no factors give the empty product, sign 1 and
-    log 0.
+    ``tables`` are factors, or anything else with a ``scope``, a
+    ``sign`` and a ``logmag``.  A ``sign`` of None marks a table with no
+    negative entry.  If every sign is None, only the log tables are
+    added and the product's sign is None too; otherwise a None sign
+    counts as 1.  The first table is broadcast into the result and the
+    others are added (and multiplied) in place; no tables give the empty
+    product, sign 1 and log 0.  A sign-free product is not normalized,
+    so a +inf log entry (never read from a file) times a zero gives NaN
+    there, where a signed product gives the zero.
     """
     shape = tuple(union_cards)
-    if not factors:
+    if not tables:
         return np.ones(shape), np.zeros(shape)
-    sign, logmag = np.empty(shape), np.empty(shape)
-    first, *rest = factors
-    np.copyto(sign, expand_to(first.sign, first.scope, union_scope))
+    logmag = np.empty(shape)
+    first, *rest = tables
     np.copyto(logmag, expand_to(first.logmag, first.scope, union_scope))
-    for f in rest:
-        sign *= expand_to(f.sign, f.scope, union_scope)
-        logmag += expand_to(f.logmag, f.scope, union_scope)
+    for t in rest:
+        logmag += expand_to(t.logmag, t.scope, union_scope)
+    signed = [t for t in tables if t.sign is not None]
+    if not signed:
+        return None, logmag
+    sign = np.empty(shape)
+    first, *rest = signed
+    np.copyto(sign, expand_to(first.sign, first.scope, union_scope))
+    for t in rest:
+        sign *= expand_to(t.sign, t.scope, union_scope)
     return _normalize_pair(sign, logmag)
 
 
@@ -170,34 +182,55 @@ def signed_sum_axes(sign, logmag, axes):
     past about 709 that cancel at the maximum), scipy returns NaN; that
     slice is summed shifted instead, as ``log|sum sign * exp(logmag -
     max)| + max``.
+
+    A ``sign`` of None marks a table with no negative entry, and the
+    result's sign is None too.  Its log is bitwise that of the sign 1
+    where ``logmag`` > -inf and 0 elsewhere, without the steps that
+    cannot change it: the multiplies by the sign, and the handling of a
+    count at the maximum that is 0 or of a sum below -1.  Such a count
+    only differs on an all -inf slice, which takes the direct sum
+    either way.
     """
+    def signed(x):
+        if sign is not None:
+            x *= sign
+        return x
+
     a_max = logmag.max(axis=axes, keepdims=True)
     at_max = logmag == a_max
-    m = np.add.reduce(sign * at_max, axis=axes, keepdims=True)
+    m = np.add.reduce(signed(at_max.astype(np.float64)), axis=axes,
+                      keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.exp(logmag - a_max)
         terms *= ~at_max
-        terms *= sign
-        s = np.add.reduce(terms, axis=axes, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out_sign = np.sign(s + 1) * np.sign(m)
-        s = np.where(s < -1, -s - 2, s)
-        out_log = np.log1p(s) + np.log(np.abs(m)) + a_max
+        s = np.add.reduce(signed(terms), axis=axes, keepdims=True)
+        if sign is None:
+            out_sign = None
+            out_log = np.log1p(s / m) + np.log(m) + a_max
+        else:
+            s = np.where(s == 0, s, s / m)
+            out_sign = np.sign(s + 1) * np.sign(m)
+            s = np.where(s < -1, -s - 2, s)
+            out_log = np.log1p(s) + np.log(np.abs(m)) + a_max
         finite = np.isfinite(out_log)
         if not finite.all():
-            direct = np.add.reduce(sign * np.exp(logmag), axis=axes,
+            direct = np.add.reduce(signed(np.exp(logmag)), axis=axes,
                                    keepdims=True)
             out_log = np.where(finite, out_log, np.log(np.abs(direct)))
-            out_sign = np.where(finite, out_sign, np.sign(direct))
+            if sign is not None:
+                out_sign = np.where(finite, out_sign, np.sign(direct))
             redo = ~finite & ~np.isfinite(direct) & np.isfinite(a_max)
             if redo.any():
-                shifted = np.add.reduce(sign * np.exp(logmag - a_max),
+                shifted = np.add.reduce(signed(np.exp(logmag - a_max)),
                                         axis=axes, keepdims=True)
                 out_log = np.where(redo, np.log(np.abs(shifted)) + a_max,
                                    out_log)
-                out_sign = np.where(redo, np.sign(shifted), out_sign)
-    return _normalize_pair(np.squeeze(out_sign, axis=axes),
-                           np.squeeze(out_log, axis=axes))
+                if sign is not None:
+                    out_sign = np.where(redo, np.sign(shifted), out_sign)
+    out_log = np.squeeze(out_log, axis=axes)
+    if sign is None:
+        return None, out_log
+    return _normalize_pair(np.squeeze(out_sign, axis=axes), out_log)
 
 
 def multiply_factors(factors):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -109,24 +110,24 @@ def parse_uai(text):
                              "every variable in some factor")
     factors = []
     for j, scope in enumerate(scopes):
-        want = int(np.prod([cards[v] for v in scope], dtype=np.int64))
+        want = math.prod(cards[v] for v in scope)
         count = toks.next_int(f"table size of factor {j}", minimum=0)
         if count != want:
             raise ParseError(
                 toks._last_line, str(count), f"table size {want}"
             )
-        values = np.empty(count)
-        for i in range(count):
+        # collected as read, so a declared size far past the file's
+        # tokens ends at the end of file rather than in an allocation
+        values = []
+        for _ in range(count):
             lineno, x = toks.next_float(f"table value of factor {j}")
             if x < 0.0:
                 raise ParseError(
                     lineno, repr(x), "nonnegative table value"
                 )
-            values[i] = x
+            values.append(x)
         shape = tuple(cards[v] for v in scope)
-        factors.append(
-            Factor.from_linear(scope, shape, values.reshape(shape))
-        )
+        factors.append(Factor.from_linear(scope, shape, values))
     if not toks.exhausted():
         lineno, tok = toks.next("end of file")
         raise ParseError(lineno, tok, "end of file")

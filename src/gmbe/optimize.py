@@ -265,6 +265,11 @@ def optimize_bound(g, tree, config):
     evaluator holds the working model (``factors``) and the final
     weights.  Weight moves need an upper tree; a lower one raises
     ValueError before any move is made.
+
+    A bound that starts at -inf makes no move and stays -inf for every
+    iteration.  On an upper tree it is then exact (Z = 0), and every
+    move needs the auxiliary distribution, whose root normalizer has
+    vanished.
     """
     t0 = time.perf_counter()
     moves = METHODS[config.method]
@@ -272,6 +277,8 @@ def optimize_bound(g, tree, config):
         raise ValueError("weight steps require an upper-direction tree")
     ev = TreeEvaluator(tree, g.factors)
     trace = [ev.bound()]
+    if trace[0] == -np.inf:
+        moves = ()
     for _ in range(config.iterations):
         if "gauges" in moves:
             for v in tree.order:

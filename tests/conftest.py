@@ -47,6 +47,23 @@ def random_forney_from_pairwise(num_vars, num_edges, seed):
     return fg
 
 
+def zero_z_split_model():
+    """Z = 0 with split variables at ibound 2: a 3-regular model whose
+    factor 0 is all zeros."""
+    g = gen_forney_3regular(8, 1.0, 0)
+    f = g.factors[0]
+    zero = Factor.from_linear(f.scope, f.cards, np.zeros(f.cards))
+    return FactorGraph(g.cards, (zero,) + g.factors[1:])
+
+
+def zero_z_unsplit_model():
+    """Z = 0 with no split variable at ibound 2: an equality and an
+    inequality factor on two binary variables."""
+    return FactorGraph((2, 2), (
+        Factor.equality((0, 1), 2),
+        Factor.from_linear((0, 1), (2, 2), [[0.0, 1.0], [1.0, 0.0]])))
+
+
 def evaluator_at(tree, factors, weights):
     """A fresh evaluator moved to ``weights`` by one ``set_weights`` call."""
     ev = TreeEvaluator(tree, factors)

@@ -4,16 +4,19 @@
 Everything here is used only by the test suite: the nested power sum
 over the dense split model, the same sum taken bucket by bucket along
 the tree at any nonzero weights, the chain-rule auxiliary marginals,
-central finite differences, and the full-rescan min-fill greedy that
-``default_order`` must reproduce.
+central finite differences, the full-rescan min-fill greedy that
+``default_order`` must reproduce, and bucket elimination with a sign
+table on every table, which ``run_be`` must reproduce bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from gmbe import Factor, SignedLog
 from gmbe.elimination import induced_width
 from gmbe.errors import GmbeError, ZeroWeight
+from gmbe.factors import product_over, signed_sum_axes
 from gmbe.oracle import MAX_STATES, _states_or_raise
 
 
@@ -180,3 +183,34 @@ def reference_min_fill_order(g):
     if induced_width(g, identity) < induced_width(g, minfill):
         return identity
     return minfill
+
+
+def reference_be(g, order):
+    """Bucket elimination in which every table keeps its sign table.
+
+    Every message is a ``Factor``, every bucket is a signed
+    ``product_over`` of its factors and messages, and every sum is a
+    signed ``signed_sum_axes``; there is no table guard.
+    """
+    pos = {v: k for k, v in enumerate(order)}
+    buckets = [[] for _ in order]
+    for f in g.factors:
+        buckets[min(pos[v] for v in f.scope)].append(f)
+    const_sign, const_log = 1.0, 0.0
+    for k, v in enumerate(order):
+        group = buckets[k]
+        union = sorted({u for f in group for u in f.scope})
+        sign, logmag = product_over(group, union,
+                                    tuple(g.cards[u] for u in union))
+        out_sign, out_log = signed_sum_axes(sign, logmag, union.index(v))
+        rest = [u for u in union if u != v]
+        if not rest:
+            const_sign *= float(out_sign)
+            const_log += float(out_log)
+            if const_sign == 0.0:
+                return SignedLog(0.0, -np.inf)
+            continue
+        msg = Factor(tuple(rest), tuple(g.cards[u] for u in rest),
+                     out_sign, out_log)
+        buckets[min(pos[u] for u in rest)].append(msg)
+    return SignedLog(const_sign, const_log)

@@ -7,6 +7,7 @@ nested power sum over the dense split model for the bounded one.
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -46,8 +47,15 @@ from conftest import (
     random_forney_from_pairwise,
     random_forney_graph,
     random_pairwise_graph,
+    zero_z_split_model,
+    zero_z_unsplit_model,
 )
-from oracles import brute_wmbe, greedy_min_fill, reference_min_fill_order
+from oracles import (
+    brute_wmbe,
+    greedy_min_fill,
+    reference_be,
+    reference_min_fill_order,
+)
 
 
 def chain_graph(n, seed=0):
@@ -222,6 +230,40 @@ class TestIncrementalMinFill:
         assert default_order(g) == identity == reference_min_fill_order(g)
 
 
+def _card3_with_zeros(seed):
+    """to_forney of a card-3 pairwise model with one all-zero row: its
+    equality factors and that row give slices that are all -inf."""
+    g = random_pairwise_graph(8, 12, seed, card=3)
+    f = g.factors[0]
+    vals = f.linear()
+    vals[seed % 3] = 0.0
+    g = FactorGraph(g.cards, (Factor.from_linear(f.scope, f.cards, vals),)
+                    + g.factors[1:])
+    return to_forney(g)[0]
+
+
+def _gauged(seed):
+    """A gauged model that has tables with and without a negative
+    entry, so its buckets mix signed and sign-free tables."""
+    g = gen_forney_3regular(12, 1.0, seed)
+    g = apply_gauges(g, random_valid_gauges(g, 0.3, seed))
+    signed = sum(bool((f.sign < 0).any()) for f in g.factors)
+    assert 0 < signed < g.num_factors
+    return g
+
+
+# name -> model builder; the "zero-z" models have Z = 0
+_BE_MODELS = {
+    "grid-12x12": lambda: ising_to_forney(
+        gen_ising_grid(12, 12, 1.0, seed=0)),
+    **{f"card3-zeros-{seed}": partial(_card3_with_zeros, seed)
+       for seed in range(3)},
+    **{f"gauged-{seed}": partial(_gauged, seed) for seed in range(3)},
+    "zero-z-split": zero_z_split_model,
+    "zero-z-unsplit": zero_z_unsplit_model,
+}
+
+
 class TestRunBE:
     def test_hand_model(self):
         g = FactorGraph(
@@ -256,6 +298,23 @@ class TestRunBE:
         got = run_be(gauged, default_order(gauged))
         assert got.sign == z.sign
         assert got.logabs == pytest.approx(z.logabs, rel=1e-9)
+
+    def test_width_guard_past_int64(self):
+        # 64 pairwise factors around variable 0: its bucket spans 65
+        # binary variables, 2**65 entries, which wraps to 0 in int64
+        g = FactorGraph((2,) * 65, tuple(
+            Factor.uniform((0, v), (2, 2)) for v in range(1, 65)))
+        with pytest.raises(WidthExceeded):
+            run_be(g, tuple(range(65)))
+
+    @pytest.mark.parametrize("name", sorted(_BE_MODELS))
+    def test_bitwise_equals_signed_reference(self, name):
+        g = _BE_MODELS[name]()
+        order = default_order(g)
+        got = run_be(g, order)
+        assert [x.hex() for x in got] == [
+            x.hex() for x in reference_be(g, order)]
+        assert (got.sign == 0.0) == name.startswith("zero-z")
 
     def test_width_guard(self, monkeypatch):
         import gmbe.elimination as elim

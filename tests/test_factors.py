@@ -219,6 +219,31 @@ class TestCombination:
             assert bitwise_equal(got_sign, want_sign)
             assert bitwise_equal(got_log, want_log)
 
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("axes", [0, 1, 2, (0, 2)])
+    def test_sign_free_sum_bitwise_equals_signed(self, axes, offset):
+        # a None sign must give the log of the sign 1 where the log is
+        # finite and 0 at its zeros, and a sign that follows it
+        rng = np.random.default_rng(17)
+        summed = axes if isinstance(axes, tuple) else (axes,)
+        for _ in range(50):
+            logs = rng.normal(size=(3, 4, 2)) * rng.choice([1.0, 10.0])
+            if rng.random() < 0.5:
+                logs = np.round(logs)                   # ties at the max
+            logs += offset
+            logs[rng.random(logs.shape) < 0.2] = -np.inf
+            # one slice all -inf
+            logs[tuple(slice(None) if ax in summed
+                       else int(rng.integers(0, n))
+                       for ax, n in enumerate(logs.shape))] = -np.inf
+            sign = (logs > -np.inf).astype(float)
+            want_sign, want_log = signed_sum_axes(sign, logs, axes)
+            got_sign, got_log = signed_sum_axes(None, logs, axes)
+            assert got_sign is None
+            assert bitwise_equal(got_log, want_log)
+            assert bitwise_equal(want_sign, want_log > -np.inf)
+            assert np.isneginf(want_log).any()
+
     def test_lse_fallback_bitwise_equals_scipy(self):
         special = pytest.importorskip("scipy.special")
         rng = np.random.default_rng(6)

@@ -89,6 +89,24 @@ class TestParseUai:
             parse_uai("MARKOV\n1\n2\n1\n1 0\n\n3\n0.3 0.7 0.1\n")
         assert "table size 2" in err.value.expected
 
+    def test_table_size_past_int64(self):
+        # 2**64 entries wrap to 0 in int64, so a declared size of 0
+        # must not pass the count check
+        text = ("MARKOV\n64\n" + " ".join(["2"] * 64) + "\n1\n64 "
+                + " ".join(map(str, range(64))) + "\n\n0\n")
+        with pytest.raises(ParseError) as err:
+            parse_uai(text)
+        assert err.value.expected == f"table size {2 ** 64}"
+
+    def test_huge_declared_table_ends_at_end_of_file(self):
+        # 2**40 entries, declared correctly but followed by one value:
+        # the file ends long before anything that size is allocated
+        text = ("MARKOV\n40\n" + " ".join(["2"] * 40) + "\n1\n40 "
+                + " ".join(map(str, range(40))) + f"\n\n{2 ** 40}\n1.0\n")
+        with pytest.raises(ParseError) as err:
+            parse_uai(text)
+        assert err.value.token == "<end of file>"
+
     def test_negative_value_located(self):
         with pytest.raises(ParseError) as err:
             parse_uai("MARKOV\n1\n2\n1\n1 0\n\n2\n0.3 -0.7\n")

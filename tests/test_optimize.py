@@ -37,7 +37,12 @@ from gmbe.optimize import (
     weight_step,
 )
 
-from conftest import random_forney_from_pairwise, random_pairwise_graph
+from conftest import (
+    random_forney_from_pairwise,
+    random_pairwise_graph,
+    zero_z_split_model,
+    zero_z_unsplit_model,
+)
 from oracles import brute_aux_marginals, fd_gradient, tree_wmbe
 
 METHODS = ("wmbe", "wmbe-w", "wmbe-theta", "wmbe-wtheta", "wmbe-g",
@@ -469,22 +474,39 @@ class TestOptimizeBound:
         b = tree.buckets[k]
         want = (f"zero normalizer at root mini-bucket {k} "
                 f"(variable {b.var}, copy {b.copy})")
-        cfg = OptimizerConfig.for_method("wmbe-theta", iterations=2)
         with pytest.raises(NumericalUnderflow) as info:
-            optimize_bound(g, tree, cfg)
+            ev.beliefs(tree.roots)
         assert str(info.value) == want
 
+    @staticmethod
+    def assert_no_move_from_minus_inf(g, tree, monkeypatch):
+        # Z = 0, so the bound starts at -inf: the trace stays there for
+        # every iteration and no move asks for the vanished beliefs
+        for name in ("gauge_step", "reparam_step"):
+            monkeypatch.setattr(optimize, name,
+                                lambda *args: pytest.fail("a move ran"))
+        for method in ("wmbe-theta", "wmbe-g"):
+            cfg = OptimizerConfig.for_method(method, iterations=3)
+            res, ev = optimize_bound(g, tree, cfg)
+            assert res.trace == (-np.inf,) * 4
+            assert all(a is b for a, b in zip(ev.factors, g.factors,
+                                              strict=True))
+
     @pytest.mark.parametrize("direction", ["upper", "lower"])
-    def test_zero_partition_function_without_splits(self, direction):
-        # Z = 0 and no split variable: the bound is exactly -inf and no
-        # rescaling move runs, so nothing asks for its beliefs
-        g = FactorGraph((2, 2), (
-            Factor.equality((0, 1), 2),
-            Factor.from_linear((0, 1), (2, 2), [[0.0, 1.0], [1.0, 0.0]])))
+    def test_zero_partition_function_without_splits(self, direction,
+                                                    monkeypatch):
+        g = zero_z_unsplit_model()
         tree = fixture_tree(g, direction)
-        cfg = OptimizerConfig.for_method("wmbe-theta", iterations=3)
-        res, _ = optimize_bound(g, tree, cfg)
-        assert res.trace == (-np.inf,) * 4
+        assert all(len(ks) == 1 for ks in tree.splits.values())
+        self.assert_no_move_from_minus_inf(g, tree, monkeypatch)
+
+    @pytest.mark.parametrize("direction", ["upper", "lower"])
+    def test_zero_partition_function_with_splits(self, direction,
+                                                 monkeypatch):
+        g = zero_z_split_model()
+        tree = fixture_tree(g, direction)
+        assert any(len(ks) > 1 for ks in tree.splits.values())
+        self.assert_no_move_from_minus_inf(g, tree, monkeypatch)
 
     def test_weights_on_lower_tree_rejected(self, monkeypatch):
         # the direction is checked before any move, so wmbe-wg does not
