@@ -8,7 +8,7 @@ and ``to_forney`` models.  For each model it also takes its
 at scale 0.5 and the exact ``run_be`` value of the plain and of the
 gauged model, and per direction the structure of its mini-bucket tree:
 every bucket's ``(var, copy, scope, factor_ids, children, parent)``,
-then ``factor_bucket``, ``factor_incidence`` and ``initial_weights``.
+then ``factor_bucket`` and ``initial_weights``.
 It adds the orders of 12x12 and 16x16 grids, on which no bound is run.
 It prints the SHA-1 of the orders, the trees and the ``float.hex``
 values of all results.  Warnings are raised as errors; a run that
@@ -64,7 +64,7 @@ def models():
         yield (f"grid-{seed}",
                ising_to_forney(gen_ising_grid(6, 6, 1.0, seed=seed)), 4)
         # equality factors of arity up to 5, whose tables hold zeros
-        fg, _ = to_forney(gen_ising_grid(4, 4, 1.0, seed=seed))
+        fg = to_forney(gen_ising_grid(4, 4, 1.0, seed=seed))
         yield f"forney-{seed}", fg, 4
         yield f"forney-wide-{seed}", fg, 6
 
@@ -80,8 +80,7 @@ def _tree(tree):
     buckets = [(b.var, b.copy, b.scope, b.factor_ids, b.children, b.parent)
                for b in tree.buckets]
     weights = [float(w).hex() for w in tree.initial_weights]
-    return repr((buckets, tree.factor_bucket, tree.factor_incidence,
-                 weights))
+    return repr((buckets, tree.factor_bucket, weights))
 
 
 def results():

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from gmbe import Factor, ForneyGraph, apply_gauges, brute_z, gauge_pair
+from gmbe import Factor, FactorGraph, apply_gauges, brute_z, gauge_pair
 
 A = np.array([[0.75, 0.25], [0.25, 0.75]])
 
@@ -35,7 +35,7 @@ def run():
     factors = tuple(
         Factor.from_linear(SCOPES[n], (2, 2, 2), TABLES[n])
         for n in "abcd")
-    g = ForneyGraph((2,) * 6, factors)
+    g = FactorGraph((2,) * 6, factors)
 
     gauges = {v: A for v in range(6)}
     deviation = max(

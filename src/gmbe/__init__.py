@@ -6,7 +6,7 @@ reparameterizations tightens them while preserving Z exactly.
 """
 
 from .factors import Factor, SignedLog
-from .graphs import FactorGraph, ForneyGraph, to_forney, validate_forney
+from .graphs import FactorGraph, to_forney, validate_forney
 from .generators import (
     gen_forney_3regular,
     gen_ising_grid,

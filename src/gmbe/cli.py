@@ -93,7 +93,7 @@ def _forney_view(g):
     try:
         return ising_to_forney(g)
     except NotAGrid:
-        return to_forney(g)[0]
+        return to_forney(g)
 
 
 def _lower_unsupported(method, lower):
@@ -280,16 +280,22 @@ class SweepSpec:
     timings: bool = False
 
     def __post_init__(self):
+        t_range = f"{self.t_start:g}:{self.t_stop:g}:{self.t_step:g}"
+        if not all(map(math.isfinite, (self.t_start, self.t_stop,
+                                       self.t_step))):
+            raise ValueError(f"t range {t_range} is not finite")
         if self.t_step <= 0:
             raise ValueError("t_step must be positive")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not self.t_points():
+            raise ValueError(f"t range {t_range} holds no point")
 
     def t_points(self):
         n = int(math.floor((self.t_stop - self.t_start) / self.t_step
                            + 1e-9)) + 1
         return [round(self.t_start + i * self.t_step, 12)
-                for i in range(max(n, 0))]
+                for i in range(n)]
 
 
 def _sweep_task(spec, t, seed):

@@ -19,11 +19,11 @@ to 1) yields a lower bound on nonnegative models.  A mini-bucket with
 weight 1 is an ordinary sum of magnitudes, so a tree without splits
 reproduces exact elimination on nonnegative factors.
 
-The tree records, for every original factor and every variable of its
-scope, which mini-bucket consumed that (factor, variable) incidence.
-That assignment defines the split model the bound is literally an exact
-sum over, and it is what the test suite's brute-force oracle
-re-enumerates.
+The tree records the mini-bucket that consumes each original factor
+and each mini-bucket's parent.  A factor's chain of buckets up to its
+root sums out each variable of its scope exactly once, and that
+(factor, variable) -> mini-bucket assignment defines the split model
+the bound is literally an exact sum over.
 """
 
 from __future__ import annotations
@@ -235,10 +235,9 @@ class MiniBucket:
 class MiniBucketTree:
     """Static structure of a bounded elimination run.
 
-    ``factor_incidence[fid]`` maps each variable of factor fid's scope
-    (in scope order) to the mini-bucket that summed that variable out of
-    the chain containing the factor; together these assignments define
-    the split model.  ``initial_weights`` carries the per-mini-bucket
+    ``factor_bucket[fid]`` is the mini-bucket that consumes factor fid;
+    its chain of parents to the root fixes the split model.
+    ``initial_weights`` carries the per-mini-bucket
     starting weights for the tree's direction; evaluation may override
     them (the structure never changes during weight optimization).
     ``var_factors[v]`` is the ascending tuple of ids of v's factors, the
@@ -248,11 +247,9 @@ class MiniBucketTree:
     cards: tuple
     var_factors: tuple
     order: tuple
-    ibound: int
     direction: str
     buckets: tuple
     factor_bucket: tuple      # fid -> consuming mini-bucket index
-    factor_incidence: tuple   # fid -> tuple of mini-bucket indices
     initial_weights: tuple
 
     @cached_property
@@ -345,20 +342,8 @@ def build_minibucket_tree(g, order, ibound, direction="upper"):
 
     buckets = tuple(MiniBucket(k, *row, parent[k])
                     for k, row in enumerate(rows))
-    # a factor's chain of buckets up to its root sums out each variable
-    # of its scope exactly once
-    incidence = []
-    for fid, f in enumerate(g.factors):
-        at = {}
-        k = factor_bucket[fid]
-        while len(at) < f.arity:
-            if buckets[k].var in f.scope:
-                at[buckets[k].var] = k
-            k = parent[k]
-        incidence.append(tuple(at[u] for u in f.scope))
-    return MiniBucketTree(g.cards, g.var_neighbors, order, ibound,
-                          direction, buckets, tuple(factor_bucket),
-                          tuple(incidence), tuple(weights))
+    return MiniBucketTree(g.cards, g.var_neighbors, order, direction,
+                          buckets, tuple(factor_bucket), tuple(weights))
 
 
 def _check_split(v, ws, direction):

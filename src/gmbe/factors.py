@@ -70,13 +70,18 @@ class Factor:
     @classmethod
     def from_linear(cls, scope, cards, values):
         values = np.asarray(values, dtype=np.float64).reshape(tuple(cards))
+        if not np.isfinite(values).all():
+            raise ValueError("table values must be finite")
         with np.errstate(divide="ignore"):
             logmag = np.log(np.abs(values))
         return cls(tuple(scope), tuple(cards), np.sign(values), logmag)
 
     @classmethod
     def from_log(cls, scope, cards, logvals):
+        """A nonnegative table from its logs; -inf is a zero entry."""
         logvals = np.asarray(logvals, dtype=np.float64).reshape(tuple(cards))
+        if not (logvals < np.inf).all():
+            raise ValueError("log table values must not be NaN or +inf")
         return cls(tuple(scope), tuple(cards), np.ones_like(logvals), logvals)
 
     @classmethod

@@ -30,6 +30,7 @@ from .errors import (
     SingularGaugeStep,
 )
 from .factors import Factor
+from .graphs import FactorGraph
 
 RANDOM_COND_LIMIT = 1e3    # largest condition number random_valid_gauges keeps
 RANDOM_MAX_ATTEMPTS = 100  # its draws per variable before it gives up
@@ -100,7 +101,7 @@ def apply_gauges(g, gauges):
     for f, mats in zip(g.factors, sides):
         mats = {v: mats[v] for v in f.scope if v in mats}
         new_factors.append(gauge_transform_factor(f, mats) if mats else f)
-    return type(g)(g.cards, tuple(new_factors))
+    return FactorGraph(g.cards, tuple(new_factors))
 
 
 def random_valid_gauges(g, scale, seed=0):

@@ -67,21 +67,17 @@ class FactorGraph:
         return tuple(tuple(b) for b in nbrs)
 
 
-class ForneyGraph(FactorGraph):
-    """A factor graph certified to have every variable of degree 2."""
-
-
 def validate_forney(g):
-    """Certify that every variable has exactly two adjacent factors.
+    """Check that every variable of ``g`` has exactly two adjacent factors.
 
-    Returns a ForneyGraph over the same data, or raises DegreeViolation
-    listing every offending variable.
+    Returns ``g`` itself, or raises DegreeViolation listing every
+    offending variable.
     """
     bad = [(v, len(fids)) for v, fids in enumerate(g.var_neighbors)
            if len(fids) != 2]
     if bad:
         raise DegreeViolation(bad)
-    return ForneyGraph(g.cards, g.factors)
+    return g
 
 
 def to_forney(g):
@@ -93,13 +89,11 @@ def to_forney(g):
     keeps the original id, the rest are appended after the existing
     variables in ascending (variable, factor) order.
 
-    Returns (forney_graph, copy_map) where copy_map lists the copy ids
-    (including the reused original id) for every variable that was
-    split.  An already degree-2 input round-trips with an empty map.
+    Returns the degree-2 graph; an already degree-2 input comes back
+    with the same variables and factors.
     """
     cards = list(g.cards)
     factors = list(g.factors)
-    copy_map = {}
     extra_factors = []
     for v in range(g.num_vars):
         nbrs = g.var_neighbors[v]
@@ -118,6 +112,5 @@ def to_forney(g):
             new_scope = tuple(new_id if u == v else u for u in f.scope)
             factors[fid] = Factor(new_scope, f.cards, f.sign, f.logmag)
         extra_factors.append(Factor.equality(tuple(copies), g.cards[v]))
-        copy_map[v] = copies
     out = FactorGraph(tuple(cards), tuple(factors + extra_factors))
-    return validate_forney(out), copy_map
+    return validate_forney(out)

@@ -43,7 +43,7 @@ def random_forney_graph(num_factors, t, seed):
 
 def random_forney_from_pairwise(num_vars, num_edges, seed):
     g = random_pairwise_graph(num_vars, num_edges, seed)
-    fg, _ = to_forney(g)
+    fg = to_forney(g)
     return fg
 
 

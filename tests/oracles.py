@@ -1,12 +1,15 @@
 """Test-only references: literal, slow and independent of the fast paths.
 
 ``brute_z`` lives in ``gmbe.oracle`` because ``gmbe verify`` uses it.
-Everything here is used only by the test suite: the nested power sum
-over the dense split model, the same sum taken bucket by bucket along
-the tree at any nonzero weights, the chain-rule auxiliary marginals,
-central finite differences, the full-rescan min-fill greedy that
-``default_order`` must reproduce, and bucket elimination with a sign
-table on every table, which ``run_be`` must reproduce bitwise.
+Everything here is used only by the test suite: the split model's
+(factor, variable) -> mini-bucket assignment, walked here from each
+factor's bucket up its chain of parents rather than read off the
+library, the nested power sum over the dense split model, the same sum
+taken bucket by bucket along the tree at any nonzero weights, the
+chain-rule auxiliary marginals, central finite differences, the
+full-rescan min-fill greedy that ``default_order`` must reproduce, and
+bucket elimination with a sign table on every table, which ``run_be``
+must reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -24,13 +27,33 @@ class NonFiniteEvaluation(GmbeError):
     """A numeric probe returned NaN or an unexpected infinity."""
 
 
+def factor_incidence(g, tree):
+    """For each factor, the mini-bucket that sums out each scope variable.
+
+    A factor's chain of buckets, from the one that consumes it up to its
+    root, sums out each variable of its scope exactly once; the result
+    lists those buckets in scope order, one tuple per factor.
+    """
+    out = []
+    for fid, f in enumerate(g.factors):
+        at = {}
+        k = tree.factor_bucket[fid]
+        while k is not None:
+            b = tree.buckets[k]
+            if b.var in f.scope:
+                assert b.var not in at, f"factor {fid} sums {b.var} twice"
+                at[b.var] = k
+            k = b.parent
+        out.append(tuple(at[u] for u in f.scope))
+    return out
+
+
 def _split_model_logmag(g, tree):
     """Dense |product| table of the split model, one axis per mini-bucket."""
     nbar = len(tree.buckets)
     split_cards = tuple(tree.cards[b.var] for b in tree.buckets)
     table = np.zeros(split_cards)
-    for fid, f in enumerate(g.factors):
-        axes = tree.factor_incidence[fid]
+    for f, axes in zip(g.factors, factor_incidence(g, tree)):
         shape = [1] * nbar
         for ax, c in zip(axes, f.cards):
             shape[ax] = c
@@ -113,8 +136,7 @@ def brute_aux_marginals(g, tree, weights=None, budget=MAX_STATES):
         q = q * cond
         z = m
     out = {}
-    for fid, f in enumerate(g.factors):
-        axes = tree.factor_incidence[fid]
+    for fid, axes in enumerate(factor_incidence(g, tree)):
         drop = tuple(i for i in range(len(tree.buckets)) if i not in axes)
         marg = q.sum(axis=drop) if drop else q
         sorted_axes = sorted(axes)

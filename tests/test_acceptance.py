@@ -16,7 +16,7 @@ import pytest
 
 from gmbe import (
     Factor,
-    ForneyGraph,
+    FactorGraph,
     TreeEvaluator,
     apply_gauges,
     brute_z,
@@ -57,7 +57,7 @@ def _cycle_model(n, seed):
                         rng.normal(0, 1, (2, 2)))
         for i in range(n)
     )
-    return ForneyGraph((2,) * n, factors)
+    return FactorGraph((2,) * n, factors)
 
 
 def _monotone(trace, direction):
@@ -187,7 +187,7 @@ def test_criterion_02_published_worked_example():
                            corrected_c if n == "c" else _ORIG[n])
         for n in ("a", "b", "c", "d")
     )
-    g = ForneyGraph((2,) * 6, factors)
+    g = FactorGraph((2,) * 6, factors)
     ga, gb = gauge_pair(_GA)
     assert np.abs(ga.T @ gb - np.eye(2)).max() < 1e-12
     out = apply_gauges(g, {v: _GA for v in range(6)})

@@ -342,8 +342,8 @@ class TestVerify:
         # not a grid, so the equality factors of to_forney, which hold
         # zeros, carry the gauge steps
         g = random_pairwise_graph(8, 12, 0)
-        fg, copies = to_forney(g)
-        assert copies
+        fg = to_forney(g)
+        assert fg.num_vars > g.num_vars  # some variable was split
         path = tmp_path / "pairwise.uai"
         path.write_text(emit_uai(g))
         code, out, _ = run_cli(
@@ -406,6 +406,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(model="ising-grid", t_start=0.5, t_stop=1.0,
                       t_step=0.5, trials=0, methods=("mbe",), ibound=2,
+                      iterations=1, seed_base=0)
+        with pytest.raises(ValueError):
+            SweepSpec(model="ising-grid", t_start=1.0, t_stop=0.5,
+                      t_step=0.5, trials=1, methods=("mbe",), ibound=2,
                       iterations=1, seed_base=0)
 
 
@@ -498,6 +502,9 @@ class TestSweep:
         ("--t-range=-0.5:1:0.5",),
         ("--t-range", "0.5:1:0.5", "--field-sigma", "-0.3"),
         ("--t-range", "0.5:1:0.5", "--rows", "0"),
+        ("--t-range", "1:0.5:0.5"),
+        ("--t-range", "0:inf:1"),
+        ("--t-range", "0.5:1:nan"),
     ])
     def test_out_of_range_model_is_usage_error(self, args, tmp_path,
                                                capsys):

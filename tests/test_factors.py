@@ -104,6 +104,9 @@ class TestFactor:
         assert f.sign[1] == 0
         assert np.isneginf(f.logmag[1])
         assert f.sign[0] == 1 and f.sign[2] == -1
+        # a -inf log is a zero entry, not a bad value
+        f = Factor.from_log((0,), (2,), [-np.inf, 0.0])
+        np.testing.assert_array_equal(f.sign, [0.0, 1.0])
 
     def test_duplicate_scope_rejected(self):
         with pytest.raises(ValueError):
@@ -112,6 +115,16 @@ class TestFactor:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Factor.from_linear((0, 1), (2, 3), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_linear_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            Factor.from_linear((0,), (2,), [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_log_rejects_nan_and_plus_inf(self, bad):
+        with pytest.raises(ValueError):
+            Factor.from_log((0,), (2,), [bad, 0.0])
 
     def test_axis_of(self):
         f = Factor.uniform((4, 2, 9), (2, 3, 2))

@@ -12,7 +12,7 @@ import pytest
 
 from gmbe import (
     Factor,
-    ForneyGraph,
+    FactorGraph,
     apply_gauges,
     brute_z,
     gauge_pair,
@@ -69,7 +69,7 @@ def golden_model():
         Factor.from_linear((1, 3, 5), (2, 2, 2), F_C),
         Factor.from_linear((2, 4, 5), (2, 2, 2), F_D),
     )
-    return ForneyGraph((2,) * 6, factors)
+    return FactorGraph((2,) * 6, factors)
 
 
 def cycle_model(n=6, seed=0):
@@ -79,7 +79,7 @@ def cycle_model(n=6, seed=0):
                         rng.normal(0, 1, (2, 2)))
         for i in range(n)
     )
-    return ForneyGraph((2,) * n, factors)
+    return FactorGraph((2,) * n, factors)
 
 
 class TestGaugeTransformFactor:

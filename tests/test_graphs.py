@@ -6,7 +6,6 @@ import pytest
 from gmbe import (
     Factor,
     FactorGraph,
-    ForneyGraph,
     brute_z,
     to_forney,
     validate_forney,
@@ -61,7 +60,7 @@ class TestValidateForney:
                 scope, vals = scope[::-1], np.transpose(vals)
             factors.append(Factor.from_linear(scope, (2, 2), vals))
         g = FactorGraph((2, 2, 2), tuple(factors))
-        validate_forney(g)
+        assert validate_forney(g) is g
 
     def test_all_violations_reported(self):
         # star: center variable 0 in three factors; leaves have degree 1
@@ -88,23 +87,21 @@ class TestToForney:
             for i in (1, 2, 3)
         )
         g = FactorGraph((2, 2, 2, 2), factors)
-        fg, copy_map = to_forney(g)
-        assert isinstance(fg, ForneyGraph)
+        fg = to_forney(g)
         validate_forney(fg)
-        assert 0 in copy_map
-        copies = copy_map[0]
-        assert len(copies) == 3
-        # one new equality factor of arity 3 joins the copies
-        eq = [f for f in fg.factors if f.scope == tuple(sorted(copies))]
+        # var 0 keeps its id and gains copies 4 and 5, which one new
+        # equality factor joins; vars 1-3 get uniform partners
+        assert fg.num_vars == 6
+        eq = [f for f in fg.factors if f.scope == (0, 4, 5)]
         assert len(eq) == 1
-        assert eq[0].arity == 3
+        np.testing.assert_array_equal(
+            eq[0].linear(), Factor.equality((0, 4, 5), 2).linear())
 
     def test_already_forney_is_identity(self):
         g = chain(3)
         # chain endpoints have degree 1, so they get uniform partners
-        fg, copy_map = to_forney(g)
+        fg = to_forney(g)
         validate_forney(fg)
-        assert copy_map == {}
         assert fg.num_vars == g.num_vars
 
     def test_degree2_model_untouched(self):
@@ -115,13 +112,13 @@ class TestToForney:
             for i in range(4)
         )
         g = FactorGraph((2,) * 4, factors)
-        fg, copy_map = to_forney(g)
-        assert copy_map == {}
+        fg = to_forney(g)
+        assert fg.num_vars == 4
         assert fg.num_factors == 4
 
     def test_z_preserved_random_model(self):
         g = random_pairwise_graph(5, 4, seed=11)
-        fg, _ = to_forney(g)
+        fg = to_forney(g)
         za = brute_z(g)
         zb = brute_z(fg)
         assert zb.logabs == pytest.approx(za.logabs, rel=1e-12)
@@ -130,7 +127,7 @@ class TestToForney:
     @pytest.mark.parametrize("seed", range(6))
     def test_z_preserved_various(self, seed):
         g = random_pairwise_graph(6, 8, seed=seed)
-        fg, _ = to_forney(g)
+        fg = to_forney(g)
         validate_forney(fg)
         assert brute_z(fg).logabs == pytest.approx(
             brute_z(g).logabs, rel=1e-10

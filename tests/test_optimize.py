@@ -370,7 +370,7 @@ class TestReparamStep:
         cases = [(ising_to_forney(gen_ising_grid(6, 6, 1.0, seed=0)), 4)]
         cases += [(fixture_model(8, seed), 2) for seed in range(2)]
         for seed in range(4):
-            g, _ = to_forney(random_pairwise_graph(8, 12, seed, card=3))
+            g = to_forney(random_pairwise_graph(8, 12, seed, card=3))
             cases.append((g, max(f.arity for f in g.factors)))
         moved = neginf = 0
         for g, ibound in cases:
@@ -466,7 +466,7 @@ class TestOptimizeBound:
         # the equality factors to_forney adds hold zeros; under the
         # reverse pattern's negative weights they reach the root as -inf
         grid = gen_ising_grid(4, 4, 1.0, seed=0)
-        g, _ = to_forney(FactorGraph(
+        g = to_forney(FactorGraph(
             grid.cards, tuple(f for f in grid.factors if f.arity == 2)))
         tree = fixture_tree(g, "lower", 4)
         ev = TreeEvaluator(tree, g.factors)

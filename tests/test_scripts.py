@@ -17,8 +17,6 @@ REPO = Path(__file__).resolve().parent.parent
 # (script and arguments, a line its output must hold)
 SCRIPTS = [
     (["worked_example.py"], r"log Z before: 36\.162118486485"),
-    (["optimize_trace.py", "--rows", "4", "--cols", "4", "--iters", "2"],
-     r"exact log Z +\d+\.\d+"),
     (["grid_experiment.py", "--rows", "4", "--cols", "4", "--trials", "1",
       "--iters", "2", "--t-range", "0.5:0.5:0.5", "-o", "{tmp}/sweep.csv"],
      r"wrote .*sweep\.csv \(7 rows\)"),
