@@ -10,11 +10,18 @@ gauged model, and per direction the structure of its mini-bucket tree:
 every bucket's ``(var, copy, scope, factor_ids, children, parent)``,
 then ``factor_bucket`` and ``initial_weights``.
 It adds the orders of 12x12 and 16x16 grids, on which no bound is run.
-It prints the SHA-1 of the orders, the trees and the ``float.hex``
-values of all results.  Warnings are raised as errors; a run that
-raises records the exception's class name instead of a trace.  Run it
-at two commits to check that a refactor leaves every order, tree,
-bound, gauged table and exact value bitwise equal:
+Then it runs a fixed list of ``gmbe`` command lines in-process through
+``gmbe.cli.main``, in a temporary directory with relative paths and
+``GMBE_THREADS=1``: every method in both directions, ``verify``,
+``sweep``, usage errors and each ``--help``.  Each records its exit
+code, stdout, stderr and the files it wrote, with the ``wall_time`` and
+sidecar ``git`` values masked.
+It prints the SHA-1 of the orders, the trees, the ``float.hex``
+values of all results and the command outputs.  Warnings are raised as
+errors; a run that raises records the exception's class name instead
+of a trace.  Run it at two commits to check that a refactor leaves
+every order, tree, bound, gauged table, exact value and CLI byte
+bitwise equal:
 
     PYTHONPATH=src python3 scripts/trace_fingerprint.py
 
@@ -24,14 +31,20 @@ commit and compare the two files; this computes nothing:
     PYTHONPATH=src python3 scripts/trace_fingerprint.py --diff OLD NEW
 
 It prints each changed result's name with the largest |Δ| of its
-floats, or ``text`` for an order, a tree, an exception name or a list
-whose length changed, then ``N of M results differ, max |Δ| X``.
+floats, or ``text`` for an order, a tree, an exception name, a command
+or a list whose length changed, then ``N of M results differ, max |Δ| X``.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
 import re
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 from gmbe import (
     apply_gauges,
@@ -47,12 +60,68 @@ from gmbe import (
     run_wmbe,
     to_forney,
 )
+from gmbe.cli import main as gmbe_main
 from gmbe.optimize import OptimizerConfig, optimize_bound
 
 METHODS = ("wmbe-w", "wmbe-theta", "wmbe-wtheta", "wmbe-g", "wmbe-wg")
 ITERATIONS = 5
 GAUGE_SCALE = 0.5
 ORDER_ONLY_GRIDS = (12, 16)
+
+_FORNEY_SWEEP = ("--model forney-3reg --factors 6 --t-range 0.5:0.5:0.5 "
+                 "--trials 1")
+# gmbe command lines, run in order: the gen lines write the models the
+# later lines read
+CLI_COMMANDS = (
+    "gen --model ising-grid --rows 3 --cols 3 --seed 0 -o g.uai",
+    "gen --model forney-3reg --factors 6 --seed 1 -o f.uai",
+    "gen --model forney-3reg-sym --factors 6 --t 0.5 -o s.uai",
+    *(f"bound {m} --method {method} --ibound {b} --iters 3 --trace{lower}"
+      for m, b in (("f.uai", 2), ("g.uai", 3))
+      for method in ("be", "mbe", "wmbe", *METHODS)
+      for lower in ("", " --lower")),
+    "bound s.uai --method wmbe-g --ibound 2 --iters 3",
+    "bound f.uai --method wmbe --ibound 0",
+    "verify g.uai --ibound 3 --iters 3 --methods be,mbe,wmbe,wmbe-w,"
+    "wmbe-theta,wmbe-wtheta,wmbe-g,wmbe-wg,wmbe-lower,wmbe-theta-lower,"
+    "wmbe-g-lower",
+    "verify s.uai --ibound 2 --iters 3",
+    "sweep --model ising-grid --rows 3 --cols 3 --t-range 0.5:1:0.5 "
+    "--trials 2 --ibound 3 --iters 2 --methods mbe,wmbe,wmbe-w,"
+    "wmbe-theta,wmbe-wtheta,wmbe-g,wmbe-wg -o grid.csv",
+    f"sweep {_FORNEY_SWEEP} --ibound 2 --iters 2 --methods wmbe,wmbe-g "
+    "-o f3.csv",
+    # usage and runtime errors
+    "bound f.uai --iters -3",
+    "bound f.uai --ibound -1",
+    "verify f.uai --iters -3",
+    "verify f.uai --ibound -1",
+    f"sweep {_FORNEY_SWEEP} --iters -3 --methods wmbe -o neg.csv",
+    f"sweep {_FORNEY_SWEEP} --ibound -1 --methods wmbe -o neg.csv",
+    "bound absent.uai --method be --lower",
+    "bound absent.uai",
+    "verify f.uai --methods be,hybrid",
+    "verify f.uai --methods wmbe-w-lower",
+    "verify f.uai --methods wmbe,be-lower",
+    f"sweep {_FORNEY_SWEEP} --methods wmbe-lower -o bad.csv",
+    f"sweep {_FORNEY_SWEEP} --methods mbe,magic -o bad.csv",
+    "sweep --model ising-grid --t-range oops -o bad.csv",
+    "sweep --model ising-grid --t-range 1:0.5:0.5 -o bad.csv",
+    "sweep --model ising-grid --t-range 0.5:1:0.5 --trials 0 -o bad.csv",
+    "gen --model forney-3reg --factors 5 -o bad.uai",
+    "gen --model ising-grid --t nan -o bad.uai",
+    "gen --model tree -o bad.uai",
+    "bound",
+    "",
+    "--version",
+    "--help",
+    "gen --help",
+    "bound --help",
+    "verify --help",
+    "sweep --help",
+)
+# the values that change from run to run
+_VOLATILE = re.compile(r'"(wall_time|git)": [^,\n]*')
 
 
 def models():
@@ -106,7 +175,7 @@ def results():
             if direction == "upper":
                 runs.append(("mbe", lambda: run_mbe(g, tree)))
             for method in METHODS:
-                cfg = OptimizerConfig.for_method(method, iterations=ITERATIONS)
+                cfg = OptimizerConfig(method, ITERATIONS)
                 runs.append((method,
                              lambda cfg=cfg: optimize_bound(g, tree, cfg)[0]))
             for method, run in runs:
@@ -118,6 +187,44 @@ def results():
     for n in ORDER_ONLY_GRIDS:
         g = ising_to_forney(gen_ising_grid(n, n, 1.0, seed=0))
         yield f"grid-{n}x{n} order", " ".join(map(str, default_order(g)))
+    yield from cli_results()
+
+
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process gmbe run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = gmbe_main(argv)
+        except SystemExit as exc:  # argparse: --help, --version, errors
+            code = exc.code or 0
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_results():
+    """(``gmbe <command>``, its outputs as one line) per CLI_COMMANDS."""
+    cwd = os.getcwd()
+    env = {"GMBE_THREADS": "1", "COLUMNS": "80"}  # fixed help width
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, env):
+        os.chdir(tmp)
+        try:
+            files = {}
+            for command in CLI_COMMANDS:
+                try:
+                    code, out, err = _run_cli(command.split())
+                except Exception as exc:  # recorded, not raised
+                    code, out, err = type(exc).__name__, "", ""
+                before = files
+                files = {p.name: _VOLATILE.sub(r'"\1": -', p.read_text())
+                         for p in sorted(Path().iterdir())}
+                written = {k: v for k, v in files.items()
+                           if before.get(k) != v}
+                out = _VOLATILE.sub(r'"\1": -', out)
+                yield (f"gmbe {command}".rstrip(),
+                       repr((code, out, err, written)))
+        finally:
+            os.chdir(cwd)
 
 
 # one token of a result written as float.hex values

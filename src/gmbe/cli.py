@@ -53,6 +53,10 @@ _NO_LOWER = ("be", "mbe", *(m for m, moves in METHODS.items()
 _FAMILIES = ("ising-grid", "forney-3reg", "forney-3reg-sym")
 
 
+class _Usage(Exception):
+    """A bad argument: main prints ``error: <message>`` and exits 1."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
 
@@ -96,23 +100,44 @@ def _forney_view(g):
         return to_forney(g)
 
 
-def _lower_unsupported(method, lower):
-    """Report a lower bound asked of a method without one; True if so."""
+def _check_counts(args):
+    """--iters and --ibound must be non-negative."""
+    for flag in ("iters", "ibound"):
+        n = getattr(args, flag)
+        if n < 0:
+            raise _Usage(f"--{flag} must be non-negative, got {n}")
+
+
+def _check_lower(method, lower):
+    """A lower bound asked of a method without one is a usage error."""
     if lower and method in _NO_LOWER:
         kind = "exact values" if method == "be" else "upper bounds"
-        print(f"error: method {method} supports only {kind}",
-              file=sys.stderr)
-        return True
-    return False
+        raise _Usage(f"method {method} supports only {kind}")
 
 
-def _negative_iters(iters):
-    """Report a negative --iters; True if so."""
-    if iters < 0:
-        print(f"error: --iters must be non-negative, got {iters}",
-              file=sys.stderr)
-        return True
-    return False
+def _parse_methods(text, lower_ok):
+    """(name as given, method, lower) per entry of a comma list; a
+    ``-lower`` suffix asks for a lower bound only where ``lower_ok``."""
+    methods = []
+    for given in text.split(","):
+        given = given.strip()
+        lower = lower_ok and given.endswith("-lower")
+        method = given[:-6] if lower else given
+        if method not in _METHODS:
+            raise _Usage(f"unknown method {given!r}")
+        _check_lower(method, lower)
+        methods.append((given, method, lower))
+    return methods
+
+
+def _write_with_sidecar(path, text, settings):
+    """Write ``text`` to ``path`` and its provenance to ``path.json``."""
+    out = Path(path)
+    out.write_text(text)
+    meta = dict(settings, version=__version__, git=_git_hash())
+    Path(f"{out}.json").write_text(
+        json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return out
 
 
 def _compute_bound(g, fg, tree, method, iters):
@@ -126,9 +151,7 @@ def _compute_bound(g, fg, tree, method, iters):
         return run_mbe(fg, tree)
     if method == "wmbe":
         return run_wmbe(fg, tree)
-    cfg = OptimizerConfig.for_method(method, iterations=iters)
-    result, _ = optimize_bound(fg, tree, cfg)
-    return result
+    return optimize_bound(fg, tree, OptimizerConfig(method, iters))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -139,27 +162,14 @@ def cmd_gen(args):
     try:
         g = _generate(args.model, args, args.t, args.seed)
     except (ValueError, OddFactorCount) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    text = emit_uai(g)
-    out = Path(args.output)
-    out.write_text(text)
-    sidecar = {
-        "model": args.model,
-        "t": args.t,
-        "seed": args.seed,
-        "version": __version__,
-        "git": _git_hash(),
-    }
+        raise _Usage(str(e)) from None
+    settings = {"model": args.model, "t": args.t, "seed": args.seed}
     if args.model == "ising-grid":
-        sidecar["rows"] = args.rows
-        sidecar["cols"] = args.cols
-        sidecar["field_sigma"] = args.field_sigma
+        settings.update(rows=args.rows, cols=args.cols,
+                        field_sigma=args.field_sigma)
     else:
-        sidecar["factors"] = args.factors
-    Path(str(out) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
+        settings["factors"] = args.factors
+    out = _write_with_sidecar(args.output, emit_uai(g), settings)
     print(f"wrote {out} ({len(g.cards)} variables, "
           f"{len(g.factors)} factor tables)")
     return EXIT_OK
@@ -175,11 +185,9 @@ def _json_float(x):
 
 
 def cmd_bound(args):
-    if _negative_iters(args.iters):
-        return EXIT_USAGE
+    _check_counts(args)
+    _check_lower(args.method, args.lower)
     g = read_uai_file(args.model_file)
-    if _lower_unsupported(args.method, args.lower):
-        return EXIT_USAGE
     fg = tree = None
     if args.method != "be":
         fg = _forney_view(g)
@@ -198,14 +206,6 @@ def cmd_bound(args):
     if args.trace:
         payload["trace"] = [_json_float(b) for b in res.trace]
     print(json.dumps(payload, indent=2, allow_nan=False))
-    if args.trace_csv:
-        import csv as _csv
-
-        with open(args.trace_csv, "w", newline="") as fh:
-            w = _csv.writer(fh, lineterminator="\r\n")
-            w.writerow(["iter", "method", "log_bound"])
-            for i, b in enumerate(res.trace):
-                w.writerow([i, res.method, f"{b:.17g}"])
     return EXIT_OK
 
 
@@ -214,19 +214,8 @@ def cmd_bound(args):
 
 
 def cmd_verify(args):
-    if _negative_iters(args.iters):
-        return EXIT_USAGE
-    methods = []
-    for method in args.methods.split(","):
-        method = method.strip()
-        lower = method.endswith("-lower")
-        name = method[:-6] if lower else method
-        if name not in _METHODS:
-            print(f"error: unknown method {method!r}", file=sys.stderr)
-            return EXIT_USAGE
-        if _lower_unsupported(name, lower):
-            return EXIT_USAGE
-        methods.append((method, name, lower))
+    _check_counts(args)
+    methods = _parse_methods(args.methods, lower_ok=True)
     g = read_uai_file(args.model_file)
     exact = brute_z(g)
     if exact.sign <= 0:
@@ -298,8 +287,9 @@ class SweepSpec:
                 for i in range(n)]
 
 
-def _sweep_task(spec, t, seed):
-    """All requested methods on one generated instance; never raises."""
+def _sweep_task(task):
+    """All requested methods on one (spec, t, seed); never raises."""
+    spec, t, seed = task
     name = f"{spec.model}-t{t:g}-s{seed}"
     rows = []
     try:
@@ -351,16 +341,11 @@ def cmd_sweep(args):
     try:
         start, stop, step = (float(x) for x in args.t_range.split(":"))
     except ValueError:
-        print(f"error: bad --t-range {args.t_range!r}, want start:stop:step",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if _negative_iters(args.iters):
-        return EXIT_USAGE
-    methods = tuple(m.strip() for m in args.methods.split(","))
-    for m in methods:
-        if m not in _METHODS:
-            print(f"error: unknown method {m!r}", file=sys.stderr)
-            return EXIT_USAGE
+        raise _Usage(f"bad --t-range {args.t_range!r}, "
+                     "want start:stop:step") from None
+    _check_counts(args)
+    # -lower names stay unknown here: sweep builds only upper trees
+    methods = tuple(m for _, m, _ in _parse_methods(args.methods, False))
     try:
         spec = SweepSpec(
             model=args.model, t_start=start, t_stop=stop, t_step=step,
@@ -372,8 +357,7 @@ def cmd_sweep(args):
         # bad model input fails here, before any task (t_start is the least t)
         _generate(spec.model, spec, spec.t_start, spec.seed_base)
     except (ValueError, OddFactorCount) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Usage(str(e)) from None
     tasks = [(spec, t, spec.seed_base + trial)
              for t in spec.t_points()
              for trial in range(spec.trials)]
@@ -382,23 +366,13 @@ def cmd_sweep(args):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task_star, tasks))
+            results = list(pool.map(_sweep_task, tasks))
     else:
-        results = [_sweep_task(*t) for t in tasks]
+        results = list(map(_sweep_task, tasks))
     rows = [row for batch in results for row in batch]
-    text = emit_csv(rows)
-    out = Path(args.output)
-    out.write_text(text)
-    sidecar = dict(asdict(spec), version=__version__, git=_git_hash())
-    Path(str(out) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
+    out = _write_with_sidecar(args.output, emit_csv(rows), asdict(spec))
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
-
-
-def _sweep_task_star(task):
-    return _sweep_task(*task)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +408,6 @@ def build_parser():
                    help="reverse-pattern lower bound instead of upper")
     b.add_argument("--trace", action="store_true",
                    help="include the per-iteration trace in the output")
-    b.add_argument("--trace-csv", default=None,
-                   help="also write the trace as CSV to this path")
     b.set_defaults(func=cmd_bound)
 
     v = sub.add_parser("verify",
@@ -473,6 +445,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _Usage as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except GmbeError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -633,8 +633,7 @@ def run_wmbe(g, tree):
     t0 = time.perf_counter()
     ev = TreeEvaluator(tree, g.factors)
     lb = ev.bound()
-    name = "wmbe" if tree.direction == "upper" else "wmbe-lower"
-    return BoundResult(name, tree.direction, lb, (lb,),
+    return BoundResult("wmbe", tree.direction, lb, (lb,),
                        time.perf_counter() - t0)
 
 

@@ -119,8 +119,12 @@ class TestGen:
         assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["bound", "verify", "sweep"])
-def test_negative_iters_is_usage_error(command, tmp_path, capsys):
+@pytest.mark.parametrize("command,flag", [
+    *(pytest.param(c, "--iters", id=c) for c in ("bound", "verify", "sweep")),
+    *(pytest.param(c, "--ibound", id=f"{c}-ibound")
+      for c in ("bound", "verify", "sweep")),
+])
+def test_negative_iters_is_usage_error(command, flag, tmp_path, capsys):
     path = gen_small_forney(tmp_path, capsys)
     out = tmp_path / "x.csv"
     argv = {
@@ -132,9 +136,9 @@ def test_negative_iters_is_usage_error(command, tmp_path, capsys):
                   "--cols", "3", "--t-range", "0.5:0.5:0.5", "--trials",
                   "1", "--methods", "wmbe-theta", "-o", str(out)],
     }[command]
-    code, stdout, err = run_cli([*argv, "--iters", "-3"], capsys)
+    code, stdout, err = run_cli([*argv, flag, "-3"], capsys)
     assert code == EXIT_USAGE
-    assert err == "error: --iters must be non-negative, got -3\n"
+    assert err == f"error: {flag} must be non-negative, got -3\n"
     assert stdout == ""
     assert not out.exists()
 
@@ -159,23 +163,16 @@ class TestBound:
             capsys)["log_bound"]
         assert loose == pytest.approx(exact, abs=1e-9)
 
-    def test_trace_monotone_and_csv(self, tmp_path, capsys):
+    def test_trace_monotone(self, tmp_path, capsys):
         path = gen_small_forney(tmp_path, capsys)
-        trace_path = tmp_path / "trace.csv"
         payload = bound_json(
             ["bound", str(path), "--method", "wmbe-wg", "--ibound", "2",
-             "--iters", "5", "--trace", "--trace-csv", str(trace_path)],
-            capsys)
+             "--iters", "5", "--trace"], capsys)
         trace = payload["trace"]
         assert len(trace) == 6
         assert payload["iterations"] == 5
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert payload["log_bound"] == trace[-1]
-        rows = list(csv.reader(io.StringIO(trace_path.read_text())))
-        assert rows[0] == ["iter", "method", "log_bound"]
-        assert len(rows) == 7
-        assert rows[1][1] == "wmbe-wg"
-        assert float(rows[-1][2]) == pytest.approx(payload["log_bound"])
 
     def test_lower_bound_direction(self, tmp_path, capsys):
         path = gen_small_forney(tmp_path, capsys)
@@ -219,6 +216,8 @@ class TestBound:
             raise ValueError(f"not JSON: {token}")
 
         payload = json.loads(out, parse_constant=reject)
+        # the method keeps its name; direction says which bound it is
+        assert (payload["method"], payload["direction"]) == ("wmbe", "lower")
         assert payload["log_bound"] is None
         assert payload["trace"] == [None]
 
@@ -240,6 +239,12 @@ class TestBound:
         assert code == EXIT_USAGE
         assert "exact values" in err
         assert "log_bound" not in out
+        # checked before the model is read: no file error
+        code, out, err = run_cli(
+            ["bound", str(tmp_path / "absent.uai"), "--method", "be",
+             "--lower"], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: method be supports only exact values\n"
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -548,7 +548,7 @@ class TestBoundOrdering:
         lo = run_wmbe(g, build_minibucket_tree(g, order, 2, "lower"))
         mb = run_mbe(g, build_minibucket_tree(g, order, 2))
         assert (up.method, up.direction) == ("wmbe", "upper")
-        assert (lo.method, lo.direction) == ("wmbe-lower", "lower")
+        assert (lo.method, lo.direction) == ("wmbe", "lower")
         assert (mb.method, mb.direction) == ("mbe", "upper")
         for r in (up, lo, mb):
             assert r.trace == (r.log_bound,)

@@ -22,7 +22,7 @@ SCRIPTS = [
      r"wrote .*sweep\.csv \(7 rows\)"),
     (["layer_times.py", "--sizes", "6", "--repeats", "3"],
      r"6x6 +build_minibucket_tree +\d+\.\d+ ms"),
-    (["trace_fingerprint.py"], r"344 results sha1 [0-9a-f]{40}"),
+    (["trace_fingerprint.py"], r"412 results sha1 [0-9a-f]{40}"),
 ]
 
 
